@@ -93,16 +93,13 @@ struct NodeConfig {
   // keeps the classic drop-and-dup-ACK receiver; a WAN wire that reorders
   // needs a few slots here so displaced frames do not masquerade as loss.
   std::uint32_t tcp_ooo_queue = 0;
-  // End-to-end work probes from the reincarnation server (synthetic echo
-  // rs -> tcpN -> ip -> pf and back) so a silently wedged transport — the
-  // one fault class heartbeats cannot see — is restarted automatically.
-  // Default off: the paper's manual-restart behaviour stands.
-  bool work_probes = false;
   // Self-healing supervision plane (the escalation ladder of DESIGN.md):
-  // work probes to all five component classes, an EWMA-based probe-RTT SLO
-  // (slowdown detection), a driver-side NIC wedge watchdog, and restart
-  // budgets with exponential backoff.  Default off: every Table II/III/IV
-  // baseline is byte-identical; the paper's manual-restart behaviour stands.
+  // work probes to all five component classes (so a silently wedged server,
+  // the one fault class heartbeats cannot see, is restarted automatically),
+  // an EWMA-based probe-RTT SLO (slowdown detection), a driver-side NIC
+  // wedge watchdog, and restart budgets with exponential backoff.  Default
+  // off: every Table II/III/IV baseline is byte-identical; the paper's
+  // manual-restart behaviour stands.
   bool supervision = false;
   // Addressing: NIC i sits on 10.(subnet_base+i).0.0/24; this host takes
   // .1 when `left`, .2 otherwise.

@@ -47,7 +47,6 @@ Node::Node(sim::Simulator& sim, NodeConfig cfg)
   env_.knobs.tso = cfg_.tso;
   env_.knobs.csum_offload = cfg_.csum_offload;
   env_.knobs.cost_scale = cfg_.cost_scale;
-  env_.knobs.work_probes = cfg_.work_probes;
   env_.knobs.supervision = cfg_.supervision;
   env_.knobs.legacy_per_packet =
       cfg_.mode == StackMode::kMinixSync ? sim.costs().minix_stack_per_packet : 0;
@@ -73,11 +72,15 @@ Node::Node(sim::Simulator& sim, NodeConfig cfg)
     stats_.log(sim_.now(), "crash: " + s->name());
     if (rs_ != nullptr && s != rs_) rs_->child_crashed(s);
   };
-  env_.sock_event = [this](int shard, char proto, std::uint32_t sock,
+  env_.sock_event = [this](int /*shard*/, char proto, std::uint32_t sock,
                            std::uint8_t event) {
-    sockets_->dispatch_event(shard, proto, sock, event);
+    auto it = sock_handlers_.find({proto, sock});
+    if (it == sock_handlers_.end()) return;
+    SockEventFn cb = it->second.second;
+    it->second.first->post_kernel_msg(
+        [cb, event](sim::Context&) { cb(static_cast<net::TcpEvent>(event)); },
+        80);
   };
-  sockets_ = std::make_unique<SocketApi>(*this);
   build();
 }
 
@@ -174,27 +177,8 @@ void Node::build() {
   std::vector<int> ifindexes;
   for (int i = 0; i < cfg_.nics; ++i) ifindexes.push_back(i);
 
-  servers::ReincarnationServer::Config rs_cfg;
-  if (cfg_.supervision) {
-    // The full escalation ladder.  Three missed probes (vs the legacy two)
-    // give the slowdown rung — two consecutive LATE acks — first claim on a
-    // slow-but-alive server; the wedge rung still fires when acks stop
-    // entirely.  Budget: five restarts of one child inside ten seconds is a
-    // crash loop — quarantine it for the rest of the window.
-    rs_cfg.max_missed_probes = 3;
-    rs_cfg.slo_factor = 4.0;
-    // Floor sized against the probe canary (~105 us service + <=0.5 ms of
-    // queueing jitter at baseline): a x64 slowdown inflates the canary to
-    // ~6.7 ms, a comfortable 3x past the floor, while a healthy-but-busy
-    // component stays 4x under it.
-    rs_cfg.slo_floor = 2 * sim::kMillisecond;
-    rs_cfg.slo_strikes = 2;
-    rs_cfg.restart_budget = 5;
-    rs_cfg.budget_window = 10 * sim::kSecond;
-    rs_cfg.backoff_cap = 2 * sim::kSecond;
-  }
-  auto rs = std::make_unique<servers::ReincarnationServer>(
-      &env_, fresh_core("rs"), rs_cfg);
+  auto rs = std::make_unique<servers::ReincarnationServer>(&env_,
+                                                           fresh_core("rs"));
   rs_ = rs.get();
   servers_.emplace("rs", std::move(rs));
   boot_order_.push_back("rs");
@@ -350,23 +334,21 @@ void Node::build() {
     if (srv.get() != rs_) rs_->manage(srv.get());
   }
 
-  // End-to-end work probes target the transport replicas (the component the
-  // paper had to restart manually when it wedged silently).  Supervision
-  // widens the coverage to every component class — tcp/udp/ip/pf/drv — so
-  // the whole escalation ladder has a per-component probe stream.
-  if ((cfg_.work_probes || cfg_.supervision) && !cfg_.combined_stack()) {
+  // Supervision sends end-to-end work probes to every component class —
+  // tcp/udp/ip/pf/drv — so the whole escalation ladder has a per-component
+  // probe stream.  The transport replicas come first: they are the
+  // component the paper had to restart manually when it wedged silently.
+  if (cfg_.supervision && !cfg_.combined_stack()) {
     std::vector<std::string> targets;
     for (int s = 0; s < tcp_shards; ++s)
       targets.push_back(servers::tcp_shard_name(s));
-    if (cfg_.supervision) {
-      for (int s = 0; s < udp_shards; ++s)
-        targets.push_back(servers::udp_shard_name(s));
-      targets.push_back(servers::kIpName);
-      if (cfg_.use_pf) targets.push_back(servers::kPfName);
-      if (!inline_drivers) {
-        for (int i = 0; i < cfg_.nics; ++i)
-          targets.push_back(servers::driver_name(i));
-      }
+    for (int s = 0; s < udp_shards; ++s)
+      targets.push_back(servers::udp_shard_name(s));
+    targets.push_back(servers::kIpName);
+    if (cfg_.use_pf) targets.push_back(servers::kPfName);
+    if (!inline_drivers) {
+      for (int i = 0; i < cfg_.nics; ++i)
+        targets.push_back(servers::driver_name(i));
     }
     rs_->set_probe_targets(std::move(targets));
   }

@@ -51,7 +51,6 @@ class Node {
   // Creates an application actor, attaches its submission/completion ring
   // (see src/core/socket_ring.h) and boots it.
   AppActor* add_app(const std::string& name);
-  SocketApi& sockets() { return *sockets_; }
 
   // Publishes per-queue "chan.<queue>.send_failures" counters (plus the
   // "chan.send_failures" total) and the drivers' "drv.rx_dropped" into
@@ -104,6 +103,9 @@ class Node {
   StatsHub& stats() { return stats_; }
 
  private:
+  // Sockets register their readiness-event handlers here.
+  friend class Socket;
+
   void build();
   net::IpConfig make_ip_config() const;
   std::vector<net::PfRule> make_rules() const;
@@ -137,7 +139,11 @@ class Node {
   servers::StackServer* stack_ = nullptr;
   servers::ShardCursors direct_open_rr_;
 
-  std::unique_ptr<SocketApi> sockets_;
+  // Readiness-event handlers by (proto, socket id), dispatched through
+  // NodeEnv::sock_event.  The key is the socket alone: replicas share the
+  // id, so an event raised by any shard reaches the same handler.
+  std::map<std::pair<char, std::uint32_t>, std::pair<AppActor*, SockEventFn>>
+      sock_handlers_;
   sim::SimCore* shared_core_ = nullptr;  // MINIX mode: one core for all
   std::uint32_t next_borrower_ = 1;      // pool loan-ledger ids for apps
   bool requires_reboot_ = false;

@@ -158,11 +158,10 @@ SocketRing& Socket::ring() const { return st_->app->ring(); }
 
 void Socket::register_events(const std::shared_ptr<State>& st) {
   if (st->id == 0 || !st->on_event) return;
-  st->node->sockets().set_event_handler(
-      SocketApi::Handle{st->proto, st->id}, st->app,
-      [st](net::TcpEvent ev) {
+  st->node->sock_handlers_[{st->proto, st->id}] = {
+      st->app, [st](net::TcpEvent ev) {
         if (!st->closed && st->on_event) st->on_event(ev);
-      });
+      }};
 }
 
 void Socket::on_event(SockEventFn fn) {
@@ -237,8 +236,7 @@ void Socket::close(SockStatusFn cb) {
   }
   st_->closed = true;
   if (st_->id != 0) {
-    node().sockets().clear_event_handler(
-        SocketApi::Handle{st_->proto, st_->id});
+    node().sock_handlers_.erase({st_->proto, st_->id});
     SockSqe op;
     op.opcode = servers::kSockClose;
     op.proto = st_->proto;
@@ -253,7 +251,7 @@ void Socket::close(SockStatusFn cb) {
   } else if (cb) {
     cb(true);
   }
-  // An open still in flight is handled by its completion (see ensure_open).
+  // An open still in flight is handled by its completion (see submit_ctl).
 }
 
 // --- TcpSocket ---------------------------------------------------------------------
@@ -502,7 +500,16 @@ std::size_t TcpSocket::send_space() const {
 }
 
 std::size_t TcpSocket::recv(std::span<std::byte> out) {
-  return node().sockets().recv(app(), SocketApi::Handle{'T', st_->id}, out);
+  const int shard = net::sock_shard(st_->id);
+  net::TcpEngine* eng = node().tcp_engine(shard);
+  servers::Server* srv = node().transport_server('T', shard);
+  if (eng == nullptr || srv == nullptr) return 0;
+  servers::Server::BorrowContext borrow(*srv, app().cur());
+  const std::size_t n = eng->recv(st_->id, out);
+  app().cur().charge(
+      node().sim().costs().copy_cost(static_cast<std::int64_t>(n)));
+  if (n > 0) node().stats().add("sock.bytes_copied", n);
+  return n;
 }
 
 std::size_t TcpSocket::recv_available() const {
@@ -541,10 +548,20 @@ void TcpListener::bind_listen(net::Ipv4Addr addr, std::uint16_t port,
 }
 
 std::unique_ptr<TcpSocket> TcpListener::accept() {
-  auto child =
-      node().sockets().accept(app(), SocketApi::Handle{'T', st_->id});
-  if (!child) return nullptr;
-  return std::make_unique<TcpSocket>(app(), child->sock);
+  // SO_REUSEPORT steering: every replica owns an accept queue for the
+  // listener's port, so pop from whichever shard queued a connection.  The
+  // child id encodes the replica the flow was steered to, which is where
+  // all its further ops route.
+  for (int shard = 0; shard < node().tcp_shard_count(); ++shard) {
+    net::TcpEngine* eng = node().tcp_engine(shard);
+    servers::Server* srv = node().transport_server('T', shard);
+    if (eng == nullptr || srv == nullptr) continue;
+    servers::Server::BorrowContext borrow(*srv, app().cur());
+    auto child = eng->accept(st_->id);
+    if (!child) continue;
+    return std::make_unique<TcpSocket>(app(), *child);
+  }
+  return nullptr;
 }
 
 // --- UdpSocket ---------------------------------------------------------------------
@@ -671,198 +688,20 @@ std::optional<BorrowedDatagram> UdpSocket::recvfrom_zc() {
 }
 
 std::optional<net::UdpEngine::Datagram> UdpSocket::recvfrom() {
-  return node().sockets().recvfrom(app(), SocketApi::Handle{'U', st_->id});
-}
-
-// --- SocketApi (deprecated shim) ---------------------------------------------------
-
-SocketApi::SocketApi(Node& node) : node_(node) {}
-
-void SocketApi::open(AppActor& app, char proto, OpenCb cb) {
-  SockSqe op;
-  op.opcode = servers::kSockOpen;
-  op.proto = proto;
-  app.ring().enqueue(op, [proto, cb = std::move(cb)](const SockCqe& c) {
-    Handle h;
-    h.proto = proto;
-    h.sock = c.ok ? static_cast<std::uint32_t>(c.value) : 0;
-    cb(h);
-  });
-}
-
-void SocketApi::bind(AppActor& app, Handle h, net::Ipv4Addr addr,
-                     std::uint16_t port, StatusCb cb) {
-  SockSqe op;
-  op.opcode = servers::kSockBind;
-  op.proto = h.proto;
-  op.sock = h.sock;
-  op.arg0 = addr.value;
-  op.arg1 = port;
-  app.ring().enqueue(op,
-                     [cb = std::move(cb)](const SockCqe& c) { cb(c.ok); });
-}
-
-void SocketApi::listen(AppActor& app, Handle h, int backlog, StatusCb cb) {
-  SockSqe op;
-  op.opcode = servers::kSockListen;
-  op.proto = h.proto;
-  op.sock = h.sock;
-  op.arg0 = static_cast<std::uint64_t>(backlog);
-  app.ring().enqueue(op,
-                     [cb = std::move(cb)](const SockCqe& c) { cb(c.ok); });
-}
-
-void SocketApi::connect(AppActor& app, Handle h, net::Ipv4Addr addr,
-                        std::uint16_t port, StatusCb cb) {
-  SockSqe op;
-  op.opcode = servers::kSockConnect;
-  op.proto = h.proto;
-  op.sock = h.sock;
-  op.arg0 = addr.value;
-  op.arg1 = port;
-  app.ring().enqueue(op,
-                     [cb = std::move(cb)](const SockCqe& c) { cb(c.ok); });
-}
-
-void SocketApi::close(AppActor& app, Handle h, StatusCb cb) {
-  clear_event_handler(h);
-  SockSqe op;
-  op.opcode = servers::kSockClose;
-  op.proto = h.proto;
-  op.sock = h.sock;
-  app.ring().enqueue(op,
-                     [cb = std::move(cb)](const SockCqe& c) { cb(c.ok); });
-}
-
-void SocketApi::send(AppActor& app, Handle h, std::uint32_t len,
-                     StatusCb cb) {
-  net::TcpEngine* eng = node_.tcp_engine(net::sock_shard(h.sock));
-  if (eng == nullptr) {
-    app.call([cb](sim::Context&) { cb(false); });
-    return;
-  }
-  chan::RichPtr payload = eng->alloc_payload(len);
-  if (!payload.valid()) {
-    node_.stats().add("sock.enobufs");
-    app.call([cb](sim::Context&) { cb(false); });
-    return;
-  }
-  app.cur().charge(node_.sim().costs().copy_cost(len));
-  node_.stats().add("sock.bytes_copied", len);
-  SockSqe op;
-  op.opcode = servers::kSockSend;
-  op.proto = 'T';
-  op.sock = h.sock;
-  op.payload = payload;
-  app.ring().enqueue(op,
-                     [cb = std::move(cb)](const SockCqe& c) { cb(c.ok); });
-}
-
-void SocketApi::sendto(AppActor& app, Handle h, std::uint32_t len,
-                       net::Ipv4Addr addr, std::uint16_t port, StatusCb cb) {
-  net::UdpEngine* eng = node_.udp_engine(net::sock_shard(h.sock));
-  if (eng == nullptr) {
-    app.call([cb](sim::Context&) { cb(false); });
-    return;
-  }
-  chan::RichPtr payload = eng->alloc_payload(len);
-  if (!payload.valid()) {
-    node_.stats().add("sock.enobufs");
-    app.call([cb](sim::Context&) { cb(false); });
-    return;
-  }
-  app.cur().charge(node_.sim().costs().copy_cost(len));
-  node_.stats().add("sock.bytes_copied", len);
-  SockSqe op;
-  op.opcode = servers::kSockSendTo;
-  op.proto = 'U';
-  op.sock = h.sock;
-  op.payload = payload;
-  op.arg0 = addr.value;
-  op.arg1 = port;
-  app.ring().enqueue(op,
-                     [cb = std::move(cb)](const SockCqe& c) { cb(c.ok); });
-}
-
-std::size_t SocketApi::send_space(Handle h) const {
-  net::TcpEngine* eng = node_.tcp_engine(net::sock_shard(h.sock));
-  return eng == nullptr ? 0 : eng->send_space(h.sock);
-}
-
-std::size_t SocketApi::recv(AppActor& app, Handle h,
-                            std::span<std::byte> out) {
-  const int shard = net::sock_shard(h.sock);
-  net::TcpEngine* eng = node_.tcp_engine(shard);
-  servers::Server* srv = node_.transport_server('T', shard);
-  if (eng == nullptr || srv == nullptr) return 0;
-  servers::Server::BorrowContext borrow(*srv, app.cur());
-  const std::size_t n = eng->recv(h.sock, out);
-  app.cur().charge(node_.sim().costs().copy_cost(
-      static_cast<std::int64_t>(n)));
-  if (n > 0) node_.stats().add("sock.bytes_copied", n);
-  return n;
-}
-
-std::size_t SocketApi::recv_available(Handle h) const {
-  net::TcpEngine* eng = node_.tcp_engine(net::sock_shard(h.sock));
-  return eng == nullptr ? 0 : eng->recv_available(h.sock);
-}
-
-std::optional<net::UdpEngine::Datagram> SocketApi::recvfrom(AppActor& app,
-                                                            Handle h) {
   // Inbound datagrams hash to any replica; drain whichever queued one.
-  for (int shard = 0; shard < node_.udp_shard_count(); ++shard) {
-    net::UdpEngine* eng = node_.udp_engine(shard);
-    servers::Server* srv = node_.transport_server('U', shard);
+  for (int shard = 0; shard < node().udp_shard_count(); ++shard) {
+    net::UdpEngine* eng = node().udp_engine(shard);
+    servers::Server* srv = node().transport_server('U', shard);
     if (eng == nullptr || srv == nullptr) continue;
-    servers::Server::BorrowContext borrow(*srv, app.cur());
-    auto d = eng->recv(h.sock);
+    servers::Server::BorrowContext borrow(*srv, app().cur());
+    auto d = eng->recv(st_->id);
     if (!d) continue;
-    app.cur().charge(node_.sim().costs().copy_cost(
+    app().cur().charge(node().sim().costs().copy_cost(
         static_cast<std::int64_t>(d->data.size())));
-    node_.stats().add("sock.bytes_copied", d->data.size());
+    node().stats().add("sock.bytes_copied", d->data.size());
     return d;
   }
   return std::nullopt;
-}
-
-std::optional<SocketApi::Handle> SocketApi::accept(AppActor& app, Handle h) {
-  // SO_REUSEPORT steering: every replica owns an accept queue for the
-  // listener's port, so pop from whichever shard queued a connection.  The
-  // child id encodes the replica the flow was steered to, which is where
-  // all its further ops route.
-  for (int shard = 0; shard < node_.tcp_shard_count(); ++shard) {
-    net::TcpEngine* eng = node_.tcp_engine(shard);
-    servers::Server* srv = node_.transport_server('T', shard);
-    if (eng == nullptr || srv == nullptr) continue;
-    servers::Server::BorrowContext borrow(*srv, app.cur());
-    auto child = eng->accept(h.sock);
-    if (!child) continue;
-    return Handle{'T', *child};
-  }
-  return std::nullopt;
-}
-
-void SocketApi::set_event_handler(Handle h, AppActor* app, EventCb cb) {
-  handlers_[{h.proto, h.sock}] = {app, std::move(cb)};
-}
-
-void SocketApi::clear_event_handler(Handle h) {
-  handlers_.erase({h.proto, h.sock});
-}
-
-void SocketApi::dispatch_event(int shard, char proto, std::uint32_t sock,
-                               std::uint8_t event) {
-  (void)shard;  // the handler key is the socket; replicas share the id
-  auto it = handlers_.find({proto, sock});
-  if (it == handlers_.end()) return;
-  AppActor* app = it->second.first;
-  EventCb cb = it->second.second;
-  app->post_kernel_msg(
-      [cb, event](sim::Context&) {
-        cb(static_cast<net::TcpEvent>(event));
-      },
-      80);
 }
 
 }  // namespace newtos

@@ -31,7 +31,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -267,8 +266,8 @@ class TcpSocket : public Socket {
 
   // --- data fast path (exported socket buffers, Section V-B) ---------------------
   std::size_t send_space() const;
-  // LEGACY copy path over recv_zc()/consume(); counted in
-  // "sock.bytes_copied".
+  // LEGACY copy path: copies out of the receive queue through
+  // TcpEngine::recv; counted in "sock.bytes_copied".
   std::size_t recv(std::span<std::byte> out);
   std::size_t recv_available() const;
 
@@ -317,61 +316,9 @@ class UdpSocket : public Socket {
   // the caller releases it (RAII) when done.
   std::optional<BorrowedDatagram> recvfrom_zc();
 
-  // LEGACY copy path over recvfrom_zc(); counted in "sock.bytes_copied".
+  // LEGACY copy path: copies the datagram out through UdpEngine::recv;
+  // counted in "sock.bytes_copied".
   std::optional<net::UdpEngine::Datagram> recvfrom();
-};
-
-// DEPRECATED: the flat per-call façade the OO API replaced.  It survives as
-// a thin shim over the submission ring (every call is a batch of one) for
-// stragglers; new code uses TcpSocket/UdpSocket/TcpListener.  The node
-// still routes readiness events through it (dispatch_event), which is why
-// it also hosts the event-handler registry the socket objects register
-// with.
-class SocketApi {
- public:
-  struct Handle {
-    char proto = 'T';
-    std::uint32_t sock = 0;
-    bool valid() const { return sock != 0; }
-  };
-  using OpenCb = std::function<void(Handle)>;  // !valid() on failure
-  using StatusCb = std::function<void(bool ok)>;
-  using EventCb = std::function<void(net::TcpEvent)>;
-
-  explicit SocketApi(Node& node);
-
-  // --- control path shim (one ring op per call) ----------------------------------
-  void open(AppActor& app, char proto, OpenCb cb);
-  void bind(AppActor& app, Handle h, net::Ipv4Addr addr, std::uint16_t port,
-            StatusCb cb);
-  void listen(AppActor& app, Handle h, int backlog, StatusCb cb);
-  void connect(AppActor& app, Handle h, net::Ipv4Addr addr,
-               std::uint16_t port, StatusCb cb);
-  void close(AppActor& app, Handle h, StatusCb cb);
-  void send(AppActor& app, Handle h, std::uint32_t len, StatusCb cb);
-  void sendto(AppActor& app, Handle h, std::uint32_t len, net::Ipv4Addr addr,
-              std::uint16_t port, StatusCb cb);
-
-  // --- data fast path (exported socket buffers, Section V-B) -----------------------
-  std::size_t send_space(Handle h) const;
-  std::size_t recv(AppActor& app, Handle h, std::span<std::byte> out);
-  std::size_t recv_available(Handle h) const;
-  std::optional<net::UdpEngine::Datagram> recvfrom(AppActor& app, Handle h);
-  std::optional<Handle> accept(AppActor& app, Handle h);
-
-  // --- events ------------------------------------------------------------------------
-  void set_event_handler(Handle h, AppActor* app, EventCb cb);
-  void clear_event_handler(Handle h);
-  // Wired to NodeEnv::sock_event by the node.  `shard` names the transport
-  // replica that raised the event — for replicated state (listener accept
-  // queues, UDP sockets) it can differ from the socket id's home shard.
-  void dispatch_event(int shard, char proto, std::uint32_t sock,
-                      std::uint8_t event);
-
- private:
-  Node& node_;
-  std::map<std::pair<char, std::uint32_t>, std::pair<AppActor*, EventCb>>
-      handlers_;
 };
 
 }  // namespace newtos

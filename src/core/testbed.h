@@ -41,10 +41,9 @@ struct TestbedOptions {
   // Table I trade-off — established connections die with the TCP server).
   bool tcp_checkpoint = false;
   std::uint32_t tcp_ckpt_watermark = 256 * 1024;
-  // Reincarnation-server work probes (silent-wedge auto-detection).
-  bool work_probes = false;
-  // Full supervision plane: probes to all component classes, slowdown SLO,
-  // NIC wedge watchdog, restart budgets (NodeConfig::supervision).
+  // Supervision plane: probes to all component classes (silent-wedge
+  // auto-detection), slowdown SLO, NIC wedge watchdog, restart budgets
+  // (NodeConfig::supervision).
   bool supervision = false;
   sim::Time wire_latency = 20 * sim::kMicrosecond;
   std::uint64_t seed = 42;

@@ -461,8 +461,8 @@ void IpEngine::input(int ifindex, chan::RichPtr frame) {
 
 // --- receive-side aggregation (GRO) ------------------------------------------------
 //
-// The classification logic lives in net/gro.h: the per-shard RX fast path
-// (net/ip_fastpath.cc) runs the same merge rules against the same GroInfo.
+// The merge loop lives in net/gro.h (gro_merge), shared with the per-shard RX
+// fast path (net/ip_fastpath.cc); this engine adds batched PF queries.
 
 void IpEngine::deliver_agg(L4AggPacket&& agg) {
   stats_.gro_aggs += 1;
@@ -488,11 +488,6 @@ void IpEngine::drop_agg(L4AggPacket&& agg) {
 
 void IpEngine::input_burst(int ifindex,
                            std::span<const chan::RichPtr> frames) {
-  const Interface* ifp = iface(ifindex);
-
-  L4AggPacket agg;             // aggregate under construction
-  std::uint32_t agg_next_seq = 0;
-  bool agg_psh = false;        // a PSH frame closes its aggregate
   // PF queries raised by this burst's aggregates; batched while consecutive.
   std::vector<std::pair<PfQuery, std::uint64_t>> queries;
 
@@ -510,73 +505,35 @@ void IpEngine::input_burst(int ifindex,
     queries.clear();
   };
 
-  auto finish_agg = [&] {
-    if (agg.segs.empty()) return;
-    if (agg.segs.size() == 1) {
-      // A lone frame takes the classic path — including its own per-frame
-      // PF query — so single-frame behavior is exactly what it always was.
-      chan::RichPtr frame = agg.segs.front().frame;
-      agg.segs.clear();
-      flush_queries();
-      input(ifindex, frame);
-      agg = L4AggPacket{};
+  auto on_agg = [&](L4AggPacket&& agg, std::uint8_t tcp_flags) {
+    stats_.rx_frames += agg.segs.size();
+    if (!env_.pf_check) {
+      deliver_agg(std::move(agg));
       return;
     }
-    stats_.rx_frames += agg.segs.size();
-    if (env_.pf_check) {
-      PfQuery q;
-      q.dir = PfDir::In;
-      q.protocol = kProtoTcp;
-      q.src = agg.src;
-      q.dst = agg.dst;
-      q.sport = agg.sport;
-      q.dport = agg.dport;
-      q.tcp_flags = agg_psh ? static_cast<std::uint8_t>(tcpflag::kAck |
-                                                        tcpflag::kPsh)
-                            : tcpflag::kAck;
-      const std::uint64_t cookie = next_cookie_++;
-      PendingPf pending;
-      pending.query = q;
-      pending.outbound = false;
-      pending.ifindex = ifindex;
-      pending.is_agg = true;
-      pending.agg = std::move(agg);
-      pf_pending_.emplace(cookie, std::move(pending));
-      queries.emplace_back(q, cookie);
-    } else {
-      deliver_agg(std::move(agg));
-    }
-    agg = L4AggPacket{};
+    PfQuery q;
+    q.dir = PfDir::In;
+    q.protocol = kProtoTcp;
+    q.src = agg.src;
+    q.dst = agg.dst;
+    q.sport = agg.sport;
+    q.dport = agg.dport;
+    q.tcp_flags = tcp_flags;
+    const std::uint64_t cookie = next_cookie_++;
+    PendingPf pending;
+    pending.query = q;
+    pending.outbound = false;
+    pending.ifindex = ifindex;
+    pending.is_agg = true;
+    pending.agg = std::move(agg);
+    pf_pending_.emplace(cookie, std::move(pending));
+    queries.emplace_back(q, cookie);
   };
-
-  for (const chan::RichPtr& frame : frames) {
-    const GroInfo info =
-        ifp == nullptr ? GroInfo{}
-                       : gro_classify(env_.pools->read(frame), ifp->addr);
-    if (!info.eligible) {
-      finish_agg();
-      flush_queries();
-      input(ifindex, frame);  // the classic per-frame path, verbatim
-      continue;
-    }
-    const bool continues =
-        !agg.segs.empty() && !agg_psh && info.src == agg.src &&
-        info.sport == agg.sport && info.dport == agg.dport &&
-        info.seq == agg_next_seq;
-    if (!continues) finish_agg();
-    if (agg.segs.empty()) {
-      agg.src = info.src;
-      agg.dst = info.dst;
-      agg.sport = info.sport;
-      agg.dport = info.dport;
-      agg_psh = false;
-    }
-    agg.segs.push_back(L4Packet{frame, info.l4_offset, info.l4_length,
-                                info.src, info.dst});
-    agg_next_seq = info.seq + info.payload_len;
-    if ((info.flags & tcpflag::kPsh) != 0) agg_psh = true;
-  }
-  finish_agg();
+  auto on_frame = [&](const chan::RichPtr& frame) {
+    flush_queries();
+    input(ifindex, frame);  // the classic per-frame path, verbatim
+  };
+  gro_merge(*env_.pools, iface(ifindex), frames, on_agg, on_frame);
   flush_queries();
 }
 

@@ -199,100 +199,44 @@ void IpFastPath::drop_item(HeldItem&& item) {
   if (env_.release) env_.release(item.pkt.frame);
 }
 
-void IpFastPath::finish_agg(int ifindex, L4AggPacket&& agg,
-                            std::uint8_t tcp_flags) {
-  if (agg.segs.empty()) return;
-  if (agg.segs.size() == 1) {
-    // A lone frame takes the per-frame leg — including its own PF query
-    // with its own flags — so single-frame behavior matches the classic
-    // engine exactly.
-    chan::RichPtr frame = agg.segs.front().frame;
-    agg.segs.clear();
-    input(ifindex, frame);
-    return;
-  }
-  FlowKey key;
-  key.src = agg.src;
-  key.dst = agg.dst;
-  key.sport = agg.sport;
-  key.dport = agg.dport;
-  key.protocol = kProtoTcp;
-
-  HeldItem item;
-  item.kind = HeldItem::Kind::DeliverAgg;
-  item.proto = kProtoTcp;
-  item.agg = std::move(agg);
-
-  if (!env_.pf_check || !cfg_.use_pf) {
-    deliver_item(std::move(item));
-    return;
-  }
-  PfQuery q;
-  q.dir = PfDir::In;
-  q.protocol = kProtoTcp;
-  q.src = key.src;
-  q.dst = key.dst;
-  q.sport = key.sport;
-  q.dport = key.dport;
-  q.tcp_flags = tcp_flags;
-  judge(key, q, std::move(item));
-}
-
 void IpFastPath::input_burst(int ifindex,
                              std::span<const chan::RichPtr> frames) {
   if (!cfg_.gro) {
     for (const chan::RichPtr& frame : frames) input(ifindex, frame);
     return;
   }
-  const Interface* ifp = iface(ifindex);
+  // gro_merge hands results over in burst order, so an aggregate's PF query
+  // is filed before any later frame files its own (or falls back): a later
+  // segment cannot overtake an earlier aggregate of its own flow.
+  auto on_agg = [&](L4AggPacket&& agg, std::uint8_t tcp_flags) {
+    FlowKey key;
+    key.src = agg.src;
+    key.dst = agg.dst;
+    key.sport = agg.sport;
+    key.dport = agg.dport;
+    key.protocol = kProtoTcp;
 
-  L4AggPacket agg;             // aggregate under construction
-  std::uint32_t agg_next_seq = 0;
-  bool agg_psh = false;        // a PSH frame closes its aggregate
+    HeldItem item;
+    item.kind = HeldItem::Kind::DeliverAgg;
+    item.proto = kProtoTcp;
+    item.agg = std::move(agg);
 
-  for (const chan::RichPtr& frame : frames) {
-    const GroInfo info =
-        ifp == nullptr ? GroInfo{}
-                       : gro_classify(env_.pools->read(frame), ifp->addr);
-    if (!info.eligible) {
-      // The pending aggregate's PF query must be filed before this frame
-      // files its own (or falls back), or a later segment could overtake
-      // an earlier aggregate of its own flow — the PR 4 ordering fix.
-      finish_agg(ifindex, std::move(agg),
-                 agg_psh ? static_cast<std::uint8_t>(tcpflag::kAck |
-                                                     tcpflag::kPsh)
-                         : tcpflag::kAck);
-      agg = L4AggPacket{};
-      input(ifindex, frame);
-      continue;
+    if (!env_.pf_check || !cfg_.use_pf) {
+      deliver_item(std::move(item));
+      return;
     }
-    const bool continues =
-        !agg.segs.empty() && !agg_psh && info.src == agg.src &&
-        info.sport == agg.sport && info.dport == agg.dport &&
-        info.seq == agg_next_seq;
-    if (!continues) {
-      finish_agg(ifindex, std::move(agg),
-                 agg_psh ? static_cast<std::uint8_t>(tcpflag::kAck |
-                                                     tcpflag::kPsh)
-                         : tcpflag::kAck);
-      agg = L4AggPacket{};
-    }
-    if (agg.segs.empty()) {
-      agg.src = info.src;
-      agg.dst = info.dst;
-      agg.sport = info.sport;
-      agg.dport = info.dport;
-      agg_psh = false;
-    }
-    agg.segs.push_back(L4Packet{frame, info.l4_offset, info.l4_length,
-                                info.src, info.dst});
-    agg_next_seq = info.seq + info.payload_len;
-    if ((info.flags & tcpflag::kPsh) != 0) agg_psh = true;
-  }
-  finish_agg(ifindex, std::move(agg),
-             agg_psh
-                 ? static_cast<std::uint8_t>(tcpflag::kAck | tcpflag::kPsh)
-                 : tcpflag::kAck);
+    PfQuery q;
+    q.dir = PfDir::In;
+    q.protocol = kProtoTcp;
+    q.src = key.src;
+    q.dst = key.dst;
+    q.sport = key.sport;
+    q.dport = key.dport;
+    q.tcp_flags = tcp_flags;
+    judge(key, q, std::move(item));
+  };
+  auto on_frame = [&](const chan::RichPtr& frame) { input(ifindex, frame); };
+  gro_merge(*env_.pools, iface(ifindex), frames, on_agg, on_frame);
 }
 
 void IpFastPath::pf_verdict(std::uint64_t cookie, bool allow) {

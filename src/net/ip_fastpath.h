@@ -136,7 +136,6 @@ class IpFastPath {
   void deliver_item(HeldItem&& item);
   void drop_item(HeldItem&& item);
   void emit_fallback(int ifindex, const chan::RichPtr& frame);
-  void finish_agg(int ifindex, L4AggPacket&& agg, std::uint8_t tcp_flags);
 
   Env env_;
   Config cfg_;

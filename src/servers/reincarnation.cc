@@ -10,14 +10,36 @@ namespace {
 // Bound on retained probe cookies: late acks older than this horizon carry
 // no useful RTT signal any more (their sender was reset long ago).
 constexpr std::size_t kMaxProbeCookies = 1024;
+
+constexpr sim::Time kHeartbeatInterval = 50 * sim::kMillisecond;
+constexpr int kMaxMissedBeats = 2;
+constexpr sim::Time kRestartDelay = 5 * sim::kMillisecond;  // exec + init
+
+// --- supervision only ----------------------------------------------------------
+constexpr sim::Time kProbeInterval = 100 * sim::kMillisecond;
+// Three missed probes give the slowdown rung — two consecutive LATE acks —
+// first claim on a slow-but-alive server; the wedge rung still fires when
+// acks stop entirely.
+constexpr int kMaxMissedProbes = 3;
+// Slowdown rung: an ack with RTT > max(kSloFloor, kSloFactor * ewma) is an
+// SLO strike; kSloStrikes consecutive strikes reset the child.  The floor
+// is sized against the probe canary (~105 us service + <=0.5 ms of
+// queueing jitter at baseline): a x64 slowdown inflates the canary to
+// ~6.7 ms, a comfortable 3x past the floor, while a healthy-but-busy
+// component stays 4x under it.
+constexpr double kSloFactor = 4.0;
+constexpr sim::Time kSloFloor = 2 * sim::kMillisecond;
+constexpr int kSloStrikes = 2;
+// Restart budget + exponential backoff: more than five restarts of one
+// child inside ten seconds is a crash loop — quarantine it for the rest of
+// the window.  Unsupervised, every restart waits exactly kRestartDelay.
+constexpr int kRestartBudget = 5;
+constexpr sim::Time kBudgetWindow = 10 * sim::kSecond;
+constexpr sim::Time kBackoffCap = 2 * sim::kSecond;
 }  // namespace
 
 ReincarnationServer::ReincarnationServer(NodeEnv* env, sim::SimCore* core)
-    : ReincarnationServer(env, core, Config{}) {}
-
-ReincarnationServer::ReincarnationServer(NodeEnv* env, sim::SimCore* core,
-                                         Config cfg)
-    : Server(env, "rs", core), cfg_(cfg) {}
+    : Server(env, "rs", core) {}
 
 void ReincarnationServer::manage(Server* child) {
   // Idempotent: re-managing a child must not push a duplicate entry, which
@@ -43,16 +65,17 @@ ReincarnationServer::Child* ReincarnationServer::child_by_name(
 }
 
 void ReincarnationServer::start(bool restart) {
-  if (probes_enabled()) {
+  const bool supervised = env().knobs.supervision;
+  if (supervised) {
     for (const auto& t : probe_targets_) {
       expose_in_queue(t, 64);
       connect_out(t);
     }
   }
   announce(restart);
-  timers()->schedule(cfg_.heartbeat_interval, [this] { tick(); });
-  if (probes_enabled() && !probe_targets_.empty()) {
-    timers()->schedule(cfg_.probe_interval, [this] { probe_tick(); });
+  timers()->schedule(kHeartbeatInterval, [this] { tick(); });
+  if (supervised && !probe_targets_.empty()) {
+    timers()->schedule(kProbeInterval, [this] { probe_tick(); });
   }
 }
 
@@ -87,13 +110,11 @@ void ReincarnationServer::on_message(const std::string& from,
   // Slowdown rung: the child answers — but late.  The first samples seed
   // the EWMA unconditionally; after that only healthy acks feed it, so a
   // slowed-down server cannot drag its own SLO up.
-  if (cfg_.slo_factor <= 0.0) return;
   const bool warmed = p.samples >= 4;
   const double slo =
-      std::max(static_cast<double>(cfg_.slo_floor),
-               cfg_.slo_factor * p.ewma);
+      std::max(static_cast<double>(kSloFloor), kSloFactor * p.ewma);
   if (warmed && static_cast<double>(rtt) > slo) {
-    if (++p.slo_strikes >= cfg_.slo_strikes && child != nullptr &&
+    if (++p.slo_strikes >= kSloStrikes && child != nullptr &&
         child->server->alive() && !child->restart_pending) {
       p.slo_strikes = 0;
       escalate(*child, &ChildStats::slowdown_resets);
@@ -124,7 +145,7 @@ void ReincarnationServer::probe_tick() {
       // signal, not garbage.  The map is bounded below.
       ++p.missed;
       p.outstanding = 0;
-      if (p.missed >= cfg_.max_missed_probes) {
+      if (p.missed >= kMaxMissedProbes) {
         // Answers heartbeats but drops work: the silent wedge the paper
         // fixed by hand.  Reset it like a hung child.
         p.missed = 0;
@@ -144,13 +165,13 @@ void ReincarnationServer::probe_tick() {
       }
     }
   }
-  timers()->schedule(cfg_.probe_interval, [this] { probe_tick(); });
+  timers()->schedule(kProbeInterval, [this] { probe_tick(); });
 }
 
 void ReincarnationServer::tick() {
   for (auto& child : children_) {
     if (child.restart_pending || !child.server->alive()) continue;
-    if (child.missed >= cfg_.max_missed_beats) {
+    if (child.missed >= kMaxMissedBeats) {
       // Unresponsive: reset it (Section V-D: "...resets it when it stops
       // responding to periodic heartbeats").
       escalate(child, &ChildStats::hang_resets);
@@ -167,7 +188,7 @@ void ReincarnationServer::tick() {
       }
     });
   }
-  timers()->schedule(cfg_.heartbeat_interval, [this] { tick(); });
+  timers()->schedule(kHeartbeatInterval, [this] { tick(); });
 }
 
 void ReincarnationServer::child_crashed(Server* child) {
@@ -179,26 +200,26 @@ void ReincarnationServer::schedule_restart(Server* child) {
   for (auto& c : children_) {
     if (c.server != child || c.restart_pending) continue;
     c.restart_pending = true;
-    sim::Time delay = cfg_.restart_delay;
-    if (cfg_.restart_budget > 0) {
+    sim::Time delay = kRestartDelay;
+    if (env().knobs.supervision) {
       const sim::Time now = sim().now();
-      if (c.last_restart != 0 && now - c.last_restart > cfg_.budget_window)
+      if (c.last_restart != 0 && now - c.last_restart > kBudgetWindow)
         c.recent_restarts = 0;
       c.last_restart = now;
       ++c.recent_restarts;
       // Exponential backoff: the Nth restart inside the window waits
       // 2^(N-1) times the exec+init delay, capped.
-      for (int i = 1; i < c.recent_restarts && delay < cfg_.backoff_cap; ++i)
+      for (int i = 1; i < c.recent_restarts && delay < kBackoffCap; ++i)
         delay *= 2;
-      delay = std::min(delay, cfg_.backoff_cap);
-      if (c.recent_restarts > cfg_.restart_budget) {
+      delay = std::min(delay, kBackoffCap);
+      if (c.recent_restarts > kRestartBudget) {
         // Crash loop: quarantine.  The child stays down for a full budget
         // window; its peers already treat a down peer gracefully (classic
         // IP path, dead-replica queue drains), so the stack degrades
         // instead of flapping.
-        delay = cfg_.budget_window;
+        delay = kBudgetWindow;
       }
-      backoff_total_ += delay - cfg_.restart_delay;
+      backoff_total_ += delay - kRestartDelay;
     }
     sim().after(delay, [this, child] {
       for (auto& c2 : children_) {

@@ -8,14 +8,12 @@
 //
 // Heartbeats cannot see a *silently wedged* server — one that still answers
 // kernel notifies but drops its real work (the paper's "we had to manually
-// restart the TCP component").  With RuntimeKnobs::work_probes on, the
-// reincarnation server additionally sends periodic end-to-end WORK probes:
-// a synthetic echo rs -> tcpN -> ip -> pf, acked back along the same path
-// (kWorkProbe/kWorkProbeAck).  A wedged transport drops the probe; after
-// `max_missed_probes` unanswered probes it is reset like a hung one.
-//
-// With RuntimeKnobs::supervision on the two signals grow into a full
-// escalation ladder over every component class (tcp/udp/ip/pf/drv):
+// restart the TCP component").  With RuntimeKnobs::supervision on, the
+// reincarnation server additionally sends periodic end-to-end WORK probes
+// (kWorkProbe/kWorkProbeAck) to every component class (tcp/udp/ip/pf/drv);
+// a transport's probe travels the synthetic echo rs -> tcpN -> ip -> pf and
+// is acked back along the same path.  The two signals form an escalation
+// ladder:
 //
 //   missed heartbeats            => Hang        => kill + reincarnate
 //   heartbeats OK, probes missed => SilentWedge => kill + reincarnate
@@ -25,13 +23,14 @@
 //
 // Probe acks carry an RTT sample: a slowed-down server still answers, but
 // late (its in-queue backlog grows without bound), so acks that exceed
-// max(slo_floor, slo_factor * EWMA(healthy RTT)) for slo_strikes probes in
-// a row are treated as a detection.  Restarts are budgeted: more than
-// restart_budget restarts of one child inside budget_window quarantines it
-// (held down for a full window — peers degrade to their classic paths, as
-// they do for any dead peer) and each consecutive restart doubles the
-// exec+init delay up to backoff_cap, so a crash-looping component degrades
-// gracefully instead of flapping.
+// max(SLO floor, SLO factor * EWMA(healthy RTT)) for two probes in a row
+// are treated as a detection.  Restarts are budgeted under supervision:
+// more than five restarts of one child inside the budget window quarantines
+// it (held down for a full window — peers degrade to their classic paths,
+// as they do for any dead peer) and each consecutive restart doubles the
+// exec+init delay up to a cap, so a crash-looping component degrades
+// gracefully instead of flapping.  The tuning constants live in
+// reincarnation.cc.
 #pragma once
 
 #include <cstdint>
@@ -45,36 +44,12 @@ namespace newtos::servers {
 
 class ReincarnationServer : public Server {
  public:
-  struct Config {
-    sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-    int max_missed_beats = 2;
-    sim::Time restart_delay = 5 * sim::kMillisecond;  // exec + init
-    // End-to-end work probes (only sent when the node enables
-    // RuntimeKnobs::work_probes and probe targets were registered).
-    sim::Time probe_interval = 100 * sim::kMillisecond;
-    int max_missed_probes = 2;
-    // --- supervision-plane tuning (inert at the defaults) -----------------
-    // Slowdown rung: an ack with RTT > max(slo_floor, slo_factor * ewma)
-    // is an SLO strike; slo_strikes consecutive strikes reset the child.
-    // slo_factor == 0 disables the rung (the legacy work_probes behaviour).
-    double slo_factor = 0.0;
-    sim::Time slo_floor = 5 * sim::kMillisecond;
-    int slo_strikes = 2;
-    // Restart budget + exponential backoff.  restart_budget == 0 disables
-    // both (every restart waits exactly restart_delay, as it always did).
-    int restart_budget = 0;
-    sim::Time budget_window = 10 * sim::kSecond;
-    sim::Time backoff_cap = 2 * sim::kSecond;
-  };
-
   ReincarnationServer(NodeEnv* env, sim::SimCore* core);
-  ReincarnationServer(NodeEnv* env, sim::SimCore* core, Config cfg);
 
   // Registers a child.  Children are booted by the node; we only restart.
   void manage(Server* child);
-  // Declares which children receive end-to-end work probes (the transport
-  // replicas; with supervision on, every component class).  Must be called
-  // before boot; no-op without knobs.work_probes/knobs.supervision.
+  // Declares which children receive end-to-end work probes.  Must be
+  // called before boot; no-op without knobs.supervision.
   void set_probe_targets(std::vector<std::string> targets);
 
   // Crash signal (wired to NodeEnv::report_crash by the node).
@@ -133,11 +108,6 @@ class ReincarnationServer : public Server {
   Child* child_by_name(const std::string& name);
   // One rung of the ladder fired: record the detection and kill the child.
   void escalate(Child& child, std::uint64_t ChildStats::* counter);
-  bool probes_enabled() {
-    return env().knobs.work_probes || env().knobs.supervision;
-  }
-
-  Config cfg_;
   std::vector<Child> children_;
   std::map<std::string, ChildStats> stats_;
   std::vector<std::string> probe_targets_;

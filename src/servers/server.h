@@ -49,13 +49,10 @@ struct RuntimeKnobs {
   // Extra per-packet path length of the legacy MINIX stack (Table II line 1).
   sim::Cycles legacy_per_packet = 0;
   std::uint32_t app_write_size = 8192;
-  // End-to-end work probes (reincarnation server -> transports -> IP -> PF):
-  // servers only create the probe channels when this is on.
-  bool work_probes = false;
   // Self-healing supervision plane: the reincarnation server escalates from
   // heartbeats/probes to automatic restarts (hang, silent wedge, slowdown)
-  // and the drivers watch their NIC for receive wedges.  Implies the probe
-  // channels of work_probes, extended to every component class.
+  // and the drivers watch their NIC for receive wedges.  Servers only
+  // create the probe channels when this is on.
   bool supervision = false;
 };
 

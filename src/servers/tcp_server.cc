@@ -163,7 +163,7 @@ void TcpServer::start(bool restart) {
     expose_in_queue(sib, 256);
     connect_out(sib);
   }
-  if (env().knobs.work_probes || env().knobs.supervision) {
+  if (env().knobs.supervision) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
   }

@@ -121,7 +121,7 @@ void UdpServer::start(bool restart) {
     expose_in_queue(sib);
     connect_out(sib);
   }
-  if (env().knobs.work_probes || env().knobs.supervision) {
+  if (env().knobs.supervision) {
     expose_in_queue(kRsName, 64);
     connect_out(kRsName);
   }

@@ -63,7 +63,7 @@ struct CostModel {
   // workload makes the probe's own service time scale with the degradation
   // (x64 -> ~6.7 ms, far past the SLO floor) while costing a supervised
   // component only ~0.1% of a core.  Paid only when probes arrive, i.e.
-  // only with supervision/work_probes on.
+  // only with supervision on.
   Cycles probe_canary = 200000;
 
   // The original MINIX 3 stack (Table II line 1) paid several synchronous

@@ -219,13 +219,14 @@ TEST(Recovery, SilentWedgeNeedsManualRestart) {
   EXPECT_TRUE(rig.ssh.connected());
 }
 
-TEST(Recovery, SilentWedgeAutoDetectedByWorkProbes) {
-  // With work probes on, the reincarnation server notices that TCP answers
-  // heartbeats but drops its work (the probe echo through IP/PF never
-  // acks) and restarts it without operator help.  With checkpointing also
-  // on, even the established connections survive the automatic restart.
+TEST(Recovery, SilentWedgeAutoDetectedBySupervision) {
+  // With supervision on, the reincarnation server's work probes notice that
+  // TCP answers heartbeats but drops its work (the probe echo through IP/PF
+  // never acks) and restart it without operator help.  With checkpointing
+  // also on, even the established connections survive the automatic
+  // restart.
   TestbedOptions opts = default_opts();
-  opts.work_probes = true;
+  opts.supervision = true;
   opts.tcp_checkpoint = true;
   Rig rig(opts);
   rig.faults.inject_at(2 * sim::kSecond, servers::kTcpName,

@@ -1,20 +1,25 @@
 // Receive-side batching: NIC interrupt coalescing, the kDrvRxBurst wire
 // format, and GRO aggregation at the IP -> TCP boundary.
 //
-// Unit level: a direct IpEngine harness feeds crafted bursts and checks the
-// merge/flush rules (flow change, out-of-order, flag boundaries, PF
-// batching).  System level: the full testbed runs bulk TCP into the system
-// under test with coalescing + GRO on and checks amortization (messages per
-// frame, ACKs per aggregate), sharded steering, timer flushes, and the loan
-// ledger covering a TCP crash mid-aggregate.
+// Unit level: a direct harness feeds crafted bursts to the central IpEngine
+// and to a shard's IpFastPath — both run the shared GRO merge loop — and
+// checks the merge/flush rules (flow change, out-of-order, flag boundaries)
+// on both, plus the engine's PF batching.  System level: the full testbed
+// runs bulk TCP into the system under test with coalescing + GRO on and
+// checks amortization (messages per frame, ACKs per aggregate), sharded
+// steering, timer flushes, and the loan ledger covering a TCP crash
+// mid-aggregate.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/apps.h"
 #include "src/core/testbed.h"
 #include "src/net/ip.h"
+#include "src/net/ip_fastpath.h"
 #include "src/net/steering.h"
 #include "src/servers/driver_server.h"
 #include "src/servers/ip_server.h"
@@ -25,7 +30,18 @@ using namespace newtos::net;
 
 namespace {
 
-// Direct harness around one IpEngine with the GRO hooks installed.
+// Which receive path runs the GRO merge loop (net/gro.h gro_merge): the
+// central IP engine, or a shard's RX fast path.
+enum class GroPath { kEngine, kFastPath };
+
+// PF behind the path under test.  kRecord files queries and leaves them
+// unanswered (the test answers); kPassAtOnce answers every query with a
+// pass inside the call and forgets the verdict, so every aggregate and
+// every per-frame frame files a query of its own on both paths.
+enum class PfMode { kNone, kRecord, kPassAtOnce };
+
+// Direct harness around one IpEngine or one IpFastPath with the GRO hooks
+// installed.  Both paths report into the same vectors.
 struct GroHost {
   sim::Simulator sim;
   chan::PoolRegistry pools;
@@ -33,10 +49,15 @@ struct GroHost {
   chan::Pool* rx_pool;
   std::vector<L4AggPacket> aggs;
   std::vector<L4Packet> to_tcp;
+  // Every hand-up in order: the first member's seq and the member count
+  // (1 for a per-frame delivery).
+  std::vector<std::pair<std::uint32_t, std::size_t>> delivered;
   std::vector<std::vector<std::pair<PfQuery, std::uint64_t>>> pf_batches;
   std::vector<std::pair<PfQuery, std::uint64_t>> pf_queries;
-  bool pf_enabled;
+  std::vector<std::uint8_t> pf_flags;  // tcp_flags of every query, in order
+  GroPath path;
   std::unique_ptr<IpEngine> ip;
+  std::unique_ptr<IpFastPath> fast;
 
   class Timers : public TimerService {
    public:
@@ -54,9 +75,36 @@ struct GroHost {
     sim::Simulator* sim_;
   } clock{&sim};
 
-  explicit GroHost(bool with_pf = false) : pf_enabled(with_pf) {
+  explicit GroHost(GroPath p, PfMode pf = PfMode::kNone) : path(p) {
     hdr_pool = &pools.create("ip", "hdr", 4u << 20);
     rx_pool = &pools.create("ip", "rx", 4u << 20);
+
+    Interface ifc;
+    ifc.index = 0;
+    ifc.mac = MacAddr::local(1);
+    ifc.addr = Ipv4Addr(10, 1, 0, 1);
+    ifc.subnet = Ipv4Net{Ipv4Addr(10, 1, 0, 0), 24};
+
+    if (path == GroPath::kFastPath) {
+      IpFastPath::Env env;
+      env.pools = &pools;
+      env.deliver = [this](std::uint8_t, L4Packet&& pkt) { up(pkt); };
+      env.deliver_agg = [this](L4AggPacket&& a) { up(std::move(a)); };
+      env.release = [this](const chan::RichPtr& f) { rx_pool->release(f); };
+      if (pf == PfMode::kPassAtOnce) {
+        env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {
+          pf_flags.push_back(q.tcp_flags);
+          fast->pf_verdict(cookie, true);
+          fast->invalidate_cache();
+        };
+      }
+      IpFastPath::Config cfg;
+      cfg.interfaces.push_back(ifc);
+      cfg.use_pf = pf != PfMode::kNone;
+      cfg.gro = true;
+      fast = std::make_unique<IpFastPath>(std::move(env), std::move(cfg));
+      return;
+    }
 
     IpEngine::Env env;
     env.clock = &clock;
@@ -65,13 +113,11 @@ struct GroHost {
     env.hdr_pool = hdr_pool;
     env.rx_pool = rx_pool;
     env.send_frame = [](int, TxFrame&&, std::uint64_t) {};
-    env.deliver_tcp = [this](L4Packet&& p) { to_tcp.push_back(p); };
+    env.deliver_tcp = [this](L4Packet&& pkt) { up(pkt); };
     env.deliver_udp = [](L4Packet&&) {};
-    env.deliver_tcp_agg = [this](L4AggPacket&& a) {
-      aggs.push_back(std::move(a));
-    };
+    env.deliver_tcp_agg = [this](L4AggPacket&& a) { up(std::move(a)); };
     env.seg_done = [](std::uint64_t, bool) {};
-    if (with_pf) {
+    if (pf == PfMode::kRecord) {
       env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {
         pf_queries.push_back({q, cookie});
       };
@@ -79,16 +125,50 @@ struct GroHost {
           [this](std::span<const std::pair<PfQuery, std::uint64_t>> qs) {
             pf_batches.emplace_back(qs.begin(), qs.end());
           };
+    } else if (pf == PfMode::kPassAtOnce) {
+      env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {
+        pf_flags.push_back(q.tcp_flags);
+        ip->pf_verdict(cookie, true);
+      };
+      env.pf_check_batch =
+          [this](std::span<const std::pair<PfQuery, std::uint64_t>> qs) {
+            for (const auto& [q, cookie] : qs) {
+              pf_flags.push_back(q.tcp_flags);
+              ip->pf_verdict(cookie, true);
+            }
+          };
     }
 
     IpConfig cfg;
-    Interface ifc;
-    ifc.index = 0;
-    ifc.mac = MacAddr::local(1);
-    ifc.addr = Ipv4Addr(10, 1, 0, 1);
-    ifc.subnet = Ipv4Net{Ipv4Addr(10, 1, 0, 0), 24};
     cfg.interfaces.push_back(ifc);
     ip = std::make_unique<IpEngine>(std::move(env), cfg);
+  }
+
+  void input_burst(std::span<const chan::RichPtr> burst) {
+    if (path == GroPath::kFastPath) {
+      fast->input_burst(0, burst);
+    } else {
+      ip->input_burst(0, burst);
+    }
+  }
+  std::uint64_t gro_aggs() const {
+    return fast ? fast->stats().gro_aggs : ip->stats().gro_aggs;
+  }
+  std::uint64_t gro_frames() const {
+    return fast ? fast->stats().gro_frames : ip->stats().gro_frames;
+  }
+
+  std::uint32_t seq_of(const L4Packet& pkt) const {
+    ByteReader r{pools.read(pkt.frame).subspan(pkt.l4_offset, kTcpHeaderLen)};
+    return TcpHeader::parse(r)->seq;
+  }
+  void up(const L4Packet& pkt) {
+    delivered.emplace_back(seq_of(pkt), 1);
+    to_tcp.push_back(pkt);
+  }
+  void up(L4AggPacket&& agg) {
+    delivered.emplace_back(seq_of(agg.segs.front()), agg.segs.size());
+    aggs.push_back(std::move(agg));
   }
 
   // One inbound TCP data frame from `src`:`sport` to us:`dport`.
@@ -129,88 +209,113 @@ struct GroHost {
 constexpr Ipv4Addr kRemoteA{0x0a010002};  // 10.1.0.2
 constexpr Ipv4Addr kRemoteB{0x0a010003};  // 10.1.0.3
 
+constexpr std::uint8_t kAckPsh =
+    static_cast<std::uint8_t>(tcpflag::kAck | tcpflag::kPsh);
+constexpr std::uint8_t kAckFin =
+    static_cast<std::uint8_t>(tcpflag::kAck | tcpflag::kFin);
+
+using Delivered = std::vector<std::pair<std::uint32_t, std::size_t>>;
+
 }  // namespace
 
-// --- unit: the merge/flush rules ---------------------------------------------------
+// --- unit: the merge/flush rules, on both paths ----------------------------------
+//
+// Every burst shape runs through the central engine and a shard's fast path;
+// each must give the same aggregate boundaries, flags and delivery order.
 
-TEST(Gro, MergesConsecutiveSameFlowSegments) {
-  GroHost h;
+class GroShape : public ::testing::TestWithParam<GroPath> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothPaths, GroShape,
+    ::testing::Values(GroPath::kEngine, GroPath::kFastPath),
+    [](const ::testing::TestParamInfo<GroPath>& info) {
+      return info.param == GroPath::kEngine ? "IpEngine" : "IpFastPath";
+    });
+
+TEST_P(GroShape, MergesConsecutiveSameFlowSegments) {
+  GroHost h(GetParam());
   std::vector<chan::RichPtr> burst;
   for (int i = 0; i < 4; ++i) {
     burst.push_back(
         h.make_tcp(kRemoteA, 40000, 80, 1000 + 100 * i, 100));
   }
-  h.ip->input_burst(0, burst);
+  h.input_burst(burst);
   ASSERT_EQ(h.aggs.size(), 1u);
   EXPECT_EQ(h.aggs[0].segs.size(), 4u);
   EXPECT_EQ(h.aggs[0].sport, 40000);
   EXPECT_EQ(h.aggs[0].dport, 80);
   EXPECT_TRUE(h.to_tcp.empty());
-  EXPECT_EQ(h.ip->stats().gro_aggs, 1u);
-  EXPECT_EQ(h.ip->stats().gro_frames, 4u);
+  EXPECT_EQ(h.gro_aggs(), 1u);
+  EXPECT_EQ(h.gro_frames(), 4u);
 }
 
-TEST(Gro, FlowChangeFlushesAggregate) {
-  GroHost h;
+TEST_P(GroShape, FlowChangeFlushesAggregate) {
+  GroHost h(GetParam());
   std::vector<chan::RichPtr> burst;
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 0, 100));
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 100, 100));
   burst.push_back(h.make_tcp(kRemoteB, 41000, 80, 500, 100));  // other flow
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 200, 100));
-  h.ip->input_burst(0, burst);
+  h.input_burst(burst);
   // [A0 A1] merge; B and the now-isolated A2 take the classic path.
   ASSERT_EQ(h.aggs.size(), 1u);
   EXPECT_EQ(h.aggs[0].segs.size(), 2u);
   EXPECT_EQ(h.to_tcp.size(), 2u);
+  EXPECT_EQ(h.delivered, (Delivered{{0, 2}, {500, 1}, {200, 1}}));
 }
 
-TEST(Gro, OutOfOrderSeqFlushesAggregate) {
-  GroHost h;
+TEST_P(GroShape, OutOfOrderSeqFlushesAggregate) {
+  GroHost h(GetParam(), PfMode::kPassAtOnce);
   std::vector<chan::RichPtr> burst;
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 0, 100));
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 100, 100));
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 5000, 100));  // gap
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 5100, 100));
-  h.ip->input_burst(0, burst);
+  h.input_burst(burst);
   // Two aggregates: the gap broke the run but both halves still merge.
   ASSERT_EQ(h.aggs.size(), 2u);
   EXPECT_EQ(h.aggs[0].segs.size(), 2u);
   EXPECT_EQ(h.aggs[1].segs.size(), 2u);
   EXPECT_TRUE(h.to_tcp.empty());
+  EXPECT_EQ(h.delivered, (Delivered{{0, 2}, {5000, 2}}));
+  // Neither half pushed: both queries carry a plain ACK.
+  EXPECT_EQ(h.pf_flags,
+            (std::vector<std::uint8_t>{tcpflag::kAck, tcpflag::kAck}));
 }
 
-TEST(Gro, FlagBoundariesFlushAggregate) {
-  GroHost h;
+TEST_P(GroShape, FlagBoundariesFlushAggregate) {
+  // With a PF that passes at once, every hand-up files its own query, so
+  // the query flags show what each aggregate carried.
+  GroHost h(GetParam(), PfMode::kPassAtOnce);
   std::vector<chan::RichPtr> burst;
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 0, 100));
-  burst.push_back(h.make_tcp(
-      kRemoteA, 40000, 80, 100, 100,
-      static_cast<std::uint8_t>(tcpflag::kAck | tcpflag::kPsh)));
+  burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 100, 100, kAckPsh));
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 200, 100));
-  burst.push_back(h.make_tcp(
-      kRemoteA, 40000, 80, 300, 100,
-      static_cast<std::uint8_t>(tcpflag::kAck | tcpflag::kFin)));
-  h.ip->input_burst(0, burst);
+  burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 300, 100, kAckFin));
+  h.input_burst(burst);
   // PSH closes the first aggregate (and is its last member); the lone
   // segment after it and the FIN both take the classic per-frame path.
   ASSERT_EQ(h.aggs.size(), 1u);
   EXPECT_EQ(h.aggs[0].segs.size(), 2u);
   EXPECT_EQ(h.to_tcp.size(), 2u);
+  EXPECT_EQ(h.delivered, (Delivered{{0, 2}, {200, 1}, {300, 1}}));
+  EXPECT_EQ(h.pf_flags,
+            (std::vector<std::uint8_t>{kAckPsh, tcpflag::kAck, kAckFin}));
 }
 
-TEST(Gro, PureAcksAreNeverAggregated) {
-  GroHost h;
+TEST_P(GroShape, PureAcksAreNeverAggregated) {
+  GroHost h(GetParam());
   std::vector<chan::RichPtr> burst;
   for (int i = 0; i < 4; ++i) {
     burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 1000, 0));
   }
-  h.ip->input_burst(0, burst);
+  h.input_burst(burst);
   EXPECT_TRUE(h.aggs.empty());
   EXPECT_EQ(h.to_tcp.size(), 4u);  // each ACK clocks the sender separately
 }
 
-TEST(Gro, AggregateNeverSpansShards) {
-  GroHost h;
+TEST_P(GroShape, AggregateNeverSpansShards) {
+  GroHost h(GetParam());
   // Interleave two flows; whatever aggregates form, every member of one
   // aggregate must steer to the same replica as the aggregate's own tuple.
   std::vector<chan::RichPtr> burst;
@@ -219,7 +324,7 @@ TEST(Gro, AggregateNeverSpansShards) {
   burst.push_back(h.make_tcp(kRemoteB, 41000, 80, 0, 100));
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 200, 100));
   burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 300, 100));
-  h.ip->input_burst(0, burst);
+  h.input_burst(burst);
   ASSERT_GE(h.aggs.size(), 1u);
   for (const auto& agg : h.aggs) {
     const int shard = steer_shard(agg.src, agg.dst, agg.sport, agg.dport, 4);
@@ -231,15 +336,18 @@ TEST(Gro, AggregateNeverSpansShards) {
                 shard);
     }
   }
+  EXPECT_EQ(h.delivered, (Delivered{{0, 2}, {0, 1}, {200, 2}}));
 }
 
+// --- unit: the central engine's batched PF queries ----------------------------------
+
 TEST(Gro, OneBatchedPfQueryPerAggregate) {
-  GroHost h(/*with_pf=*/true);
+  GroHost h(GroPath::kEngine, PfMode::kRecord);
   std::vector<chan::RichPtr> burst;
   for (int i = 0; i < 6; ++i) {
     burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 100 * i, 100));
   }
-  h.ip->input_burst(0, burst);
+  h.input_burst(burst);
   // One aggregate -> one query, and it travelled as one batch.
   ASSERT_EQ(h.pf_batches.size(), 1u);
   ASSERT_EQ(h.pf_batches[0].size(), 1u);
@@ -250,13 +358,13 @@ TEST(Gro, OneBatchedPfQueryPerAggregate) {
 }
 
 TEST(Gro, BlockedVerdictReleasesEveryFrameOfTheAggregate) {
-  GroHost h(/*with_pf=*/true);
+  GroHost h(GroPath::kEngine, PfMode::kRecord);
   const std::size_t live_before = h.rx_pool->chunks_live();
   std::vector<chan::RichPtr> burst;
   for (int i = 0; i < 4; ++i) {
     burst.push_back(h.make_tcp(kRemoteA, 40000, 80, 100 * i, 100));
   }
-  h.ip->input_burst(0, burst);
+  h.input_burst(burst);
   ASSERT_EQ(h.pf_batches.size(), 1u);
   h.ip->pf_verdict(h.pf_batches[0][0].second, false);
   EXPECT_TRUE(h.aggs.empty());

@@ -269,20 +269,3 @@ TEST(SocketRingBatching, TwoOpensInOneFlushDoNotAlias) {
     }
   }
 }
-
-// The deprecated flat shim still works (a batch of one per call).
-TEST(SocketApiShim, OpenCloseRoundTrip) {
-  Testbed tb(options(StackMode::kSplitSyscall));
-  AppActor* app = tb.newtos().add_app("legacy");
-  SocketApi& api = tb.newtos().sockets();
-
-  SocketApi::Handle handle;
-  api.open(*app, 'T', [&](SocketApi::Handle h) { handle = h; });
-  tb.run_until(50 * sim::kMillisecond);
-  EXPECT_TRUE(handle.valid());
-
-  bool closed = false;
-  api.close(*app, handle, [&](bool ok) { closed = ok; });
-  tb.run_until(100 * sim::kMillisecond);
-  EXPECT_TRUE(closed);
-}
