@@ -77,10 +77,9 @@ struct NodeConfig {
   // Table I trade-off stands and every Table II row is byte-identical.
   // With it on, established connections journal per-connection TCB
   // checkpoints (pool-resident pages + a compact storage-server record per
-  // connection, refreshed every tcp_ckpt_watermark bytes) and survive a
-  // TCP server crash with only a throughput dip.
+  // connection, refreshed every servers::kCkptWatermark bytes) and survive
+  // a TCP server crash with only a throughput dip.
   bool tcp_checkpoint = false;
-  std::uint32_t tcp_ckpt_watermark = 256 * 1024;
   // Congestion-control algorithm for TCP connections on this node
   // ("newreno" | "cubic" | "bbr").  The default reproduces the classic
   // NewReno behaviour byte for byte; per-port overrides (matched against

@@ -277,7 +277,6 @@ void Node::build() {
     // Transparent TCP recovery is a split-stack feature: a combined stack
     // dies as one unit and takes its own storage/pool context with it.
     topts.checkpoint = cfg_.tcp_checkpoint;
-    topts.ckpt_watermark = cfg_.tcp_ckpt_watermark;
     // The per-shard receive context the drivers post to directly when the
     // NICs run multiple RSS queues.
     net::IpFastPath::Config fpc;

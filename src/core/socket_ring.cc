@@ -155,8 +155,7 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
       node_.direct_open_cursors(),
       [&](std::size_t i, int shard) { shard_of[i] = shard; },
       [&](char proto, int shard) {
-        servers::Server* s =
-            node_.server(servers::transport_shard_name(proto, shard));
+        servers::Server* s = node_.transport_server(proto, shard);
         return s != nullptr && s->alive();
       });
 
@@ -169,8 +168,8 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
         if (batch[i].proto == proto && shard_of[i] == shard) idxs.push_back(i);
       }
       if (idxs.empty()) continue;
-      const std::string target = servers::transport_shard_name(proto, shard);
-      servers::Server* srv = node_.server(target);
+      auto* srv = static_cast<servers::TransportServer*>(
+          node_.transport_server(proto, shard));
       if (srv == nullptr || !srv->alive()) {
         for (std::size_t i : idxs) fail(batch[i], kSockEDown);
         continue;
@@ -180,22 +179,15 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
       std::vector<servers::WireSockOp> wire;
       wire.reserve(idxs.size());
       for (std::size_t i : idxs) wire.push_back(wire_all[i]);
-      auto run = [this, srv, proto, reply_toll,
+      auto run = [this, srv, reply_toll,
                   wire = std::move(wire)](sim::Context& sctx) {
         servers::run_sock_batch(
             wire, [&](char, const chan::Message& sm, const auto& note_open) {
-              auto reply = [&](const chan::Message& r) {
+              srv->handle_sock_request(sm, sctx, [&](const chan::Message& r) {
                 note_open(r);
                 srv->cur().charge(reply_toll);
                 on_reply(sm.req_id, sm.opcode, r.flags, r.socket, r.arg0);
-              };
-              if (proto == 'T') {
-                static_cast<servers::TcpServer*>(srv)->handle_sock_request(
-                    sm, sctx, reply);
-              } else {
-                static_cast<servers::UdpServer*>(srv)->handle_sock_request(
-                    sm, sctx, reply);
-              }
+              });
             });
       };
       srv->post_kernel_msg(std::move(run), costs.trap_cold);

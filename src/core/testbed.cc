@@ -65,7 +65,6 @@ Testbed::Testbed(const TestbedOptions& opts) {
   left.gro = opts.gro;
   left.rx_queues = opts.rx_queues;
   left.tcp_checkpoint = opts.tcp_checkpoint;
-  left.tcp_ckpt_watermark = opts.tcp_ckpt_watermark;
   left.supervision = opts.supervision;
   left.tcp_cc = opts.tcp_cc;
   left.tcp_cc_by_port = opts.tcp_cc_by_port;

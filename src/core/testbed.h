@@ -40,7 +40,6 @@ struct TestbedOptions {
   // Transparent TCP recovery on the system under test (default off: the
   // Table I trade-off — established connections die with the TCP server).
   bool tcp_checkpoint = false;
-  std::uint32_t tcp_ckpt_watermark = 256 * 1024;
   // Supervision plane: probes to all component classes (silent-wedge
   // auto-detection), slowdown SLO, NIC wedge watchdog, restart budgets
   // (NodeConfig::supervision).

@@ -248,52 +248,45 @@ void SimNic::wire_deliver(std::vector<std::byte>&& bytes) {
   }
   ++stats_.rx_frames;
   ++qstats_[queue].rx_frames;
-  RxCompletion completion{buf, static_cast<std::uint32_t>(bytes.size()),
-                          rss.hash, static_cast<std::uint16_t>(queue),
-                          rss.steerable, rss.proto};
-  if (coalescing() && on_rx_burst_) {
-    // Interrupt coalescing: park the completed descriptor; the interrupt
-    // fires when the burst threshold is met or the hold-off timer expires,
-    // whichever is first.  Each queue accumulates and times out on its own.
-    auto& accum = rx_accums_[queue];
-    accum.push_back(completion);
-    if (static_cast<int>(accum.size()) >= cfg_.rx_coalesce_frames) {
-      flush_rx_burst(queue, false);
-      return;
-    }
-    if (accum.size() == 1) {
-      const std::uint64_t gen = ++rx_timer_gens_[queue];
-      const std::uint32_t epoch = reset_epoch_;
-      sim_.after(static_cast<sim::Time>(cfg_.rx_coalesce_usecs) *
-                     sim::kMicrosecond,
-                 [this, queue, gen, epoch] {
-                   if (epoch != reset_epoch_ || gen != rx_timer_gens_[queue])
-                     return;
-                   flush_rx_burst(queue, true);
-                 });
-    }
+  // Interrupt coalescing: park the completed descriptor; the interrupt
+  // fires when the burst threshold is met or the hold-off timer expires,
+  // whichever is first.  Each queue accumulates and times out on its own.
+  // A device that does not coalesce raises it for every frame.
+  auto& accum = rx_accums_[queue];
+  accum.push_back(RxCompletion{buf, static_cast<std::uint32_t>(bytes.size()),
+                               rss.hash, static_cast<std::uint16_t>(queue),
+                               rss.steerable, rss.proto});
+  if (static_cast<int>(accum.size()) >= std::max(1, cfg_.rx_coalesce_frames)) {
+    flush_rx_burst(queue, false);
     return;
   }
-  if (on_rx_frame_) {
-    on_rx_frame_(queue, completion);
-    return;
+  if (accum.size() == 1) {
+    const std::uint64_t gen = ++rx_timer_gens_[queue];
+    const std::uint32_t epoch = reset_epoch_;
+    sim_.after(static_cast<sim::Time>(cfg_.rx_coalesce_usecs) *
+                   sim::kMicrosecond,
+               [this, queue, gen, epoch] {
+                 if (epoch != reset_epoch_ || gen != rx_timer_gens_[queue])
+                   return;
+                 flush_rx_burst(queue, true);
+               });
   }
-  if (on_rx_) on_rx_(buf, static_cast<std::uint32_t>(bytes.size()));
 }
 
 void SimNic::flush_rx_burst(int queue, bool timer_expired) {
   auto& accum = rx_accums_[queue];
   if (accum.empty()) return;
-  ++rx_timer_gens_[queue];  // cancel the armed hold-off timer, if any
-  ++stats_.rx_bursts;
-  ++qstats_[queue].rx_bursts;
-  if (timer_expired) {
-    ++stats_.rx_timer_flushes;
-    ++qstats_[queue].rx_timer_flushes;
+  if (coalescing()) {
+    ++rx_timer_gens_[queue];  // cancel the armed hold-off timer, if any
+    ++stats_.rx_bursts;
+    ++qstats_[queue].rx_bursts;
+    if (timer_expired) {
+      ++stats_.rx_timer_flushes;
+      ++qstats_[queue].rx_timer_flushes;
+    }
   }
-  std::vector<RxCompletion> burst;
-  burst.swap(accum);
-  if (on_rx_burst_) on_rx_burst_(queue, std::move(burst));
+  if (on_rx_) on_rx_(queue, std::move(accum));
+  accum.clear();
 }
 
 void SimNic::reset() {

@@ -12,11 +12,16 @@
 // Non-steerable traffic (ARP, ICMP, fragments, unknown protocols) always
 // lands on queue 0.  rx_queues = 1 keeps the classic single-queue device
 // byte-identical to what it always was.
+//
+// The device raises one kind of receive interrupt: a burst of completed
+// descriptors from one queue.  A device that does not coalesce raises it
+// once per frame, with a burst of one.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/chan/pool.h"
@@ -38,7 +43,7 @@ class SimNic {
     // Receive interrupt coalescing (e1000 RDTR/RADV style): the device
     // accumulates completed RX descriptors and raises ONE interrupt per
     // burst, bounded by a frame count and an absolute timer.  Values <= 1
-    // frames (the default) keep the classic one-interrupt-per-frame device.
+    // frames (the default) raise an interrupt per frame.
     int rx_coalesce_frames = 0;
     std::uint32_t rx_coalesce_usecs = 50;
     // RSS queue pairs.  Each queue has its own descriptor ring, coalescing
@@ -83,7 +88,7 @@ class SimNic {
   };
   static RssInfo rss_classify(std::span<const std::byte> bytes);
 
-  // One completed receive descriptor of a coalesced burst.
+  // One completed receive descriptor of an interrupt's burst.
   struct RxCompletion {
     chan::RichPtr buffer;
     std::uint32_t len = 0;
@@ -91,6 +96,25 @@ class SimNic {
     std::uint16_t queue = 0;
     bool steerable = false;
     std::uint8_t proto = 0;
+  };
+
+  // An interrupt's completions, kept for the deferred message that handles
+  // them.  A burst of one is copied out, so the device keeps reusing its
+  // accumulator and a per-frame interrupt allocates nothing.
+  class RxBurst {
+   public:
+    explicit RxBurst(std::vector<RxCompletion>&& burst) {
+      if (burst.size() == 1) one_ = burst.front();
+      else many_ = std::move(burst);
+    }
+    std::span<const RxCompletion> frames() const {
+      if (many_.empty()) return {&one_, 1};
+      return many_;
+    }
+
+   private:
+    RxCompletion one_;
+    std::vector<RxCompletion> many_;
   };
 
   SimNic(sim::Simulator& sim, chan::PoolRegistry& pools, net::MacAddr mac,
@@ -103,21 +127,13 @@ class SimNic {
 
   // --- driver-facing register interface ------------------------------------------
   using TxDoneFn = std::function<void(std::uint64_t cookie, bool ok)>;
-  using RxFn = std::function<void(chan::RichPtr buffer, std::uint32_t len)>;
-  using RxFrameFn = std::function<void(int queue, const RxCompletion&)>;
-  using RxBurstFn = std::function<void(int queue, std::vector<RxCompletion>&&)>;
+  // Receive interrupt: the completions of `queue` since the last one, in
+  // arrival order (never empty).  The handler may keep the vector; the
+  // device starts its next burst on whatever is left.
+  using RxFn = std::function<void(int queue, std::vector<RxCompletion>&&)>;
   using LinkFn = std::function<void(bool up)>;
   void set_tx_done(TxDoneFn fn) { on_tx_done_ = std::move(fn); }
   void set_rx(RxFn fn) { on_rx_ = std::move(fn); }
-  // Queue-aware per-frame interrupt handler; takes precedence over the
-  // legacy set_rx() handler when installed (multi-queue drivers need the
-  // queue index and the RSS metadata; the single-queue combined stack and
-  // the classic driver keep the old signature).
-  void set_rx_frame(RxFrameFn fn) { on_rx_frame_ = std::move(fn); }
-  // Burst interrupt handler; used only when coalescing() is enabled (the
-  // per-frame handler stays the fallback so the default device is
-  // byte-identical to what it always was).
-  void set_rx_burst(RxBurstFn fn) { on_rx_burst_ = std::move(fn); }
   void set_link_change(LinkFn fn) { on_link_ = std::move(fn); }
 
   bool coalescing() const { return cfg_.rx_coalesce_frames > 1; }
@@ -163,6 +179,7 @@ class SimNic {
   void pump_tx();
   void emit(std::vector<std::byte>&& bytes);
   void wire_deliver(std::vector<std::byte>&& bytes);
+  // Raises the receive interrupt for `queue`'s accumulated completions.
   void flush_rx_burst(int queue, bool timer_expired);
   std::vector<std::vector<std::byte>> tso_split(
       const std::vector<std::byte>& super, std::uint16_t mss) const;
@@ -182,14 +199,12 @@ class SimNic {
   std::vector<std::deque<chan::RichPtr>> rx_rings_;  // one per queue
   bool tx_pumping_ = false;
 
-  // Completed RX descriptors waiting for the coalesced interrupt, per queue.
+  // Completed RX descriptors waiting for the interrupt, per queue.
   std::vector<std::vector<RxCompletion>> rx_accums_;
   std::vector<std::uint64_t> rx_timer_gens_;  // invalidate armed RADV timers
 
   TxDoneFn on_tx_done_;
   RxFn on_rx_;
-  RxFrameFn on_rx_frame_;
-  RxBurstFn on_rx_burst_;
   LinkFn on_link_;
   Stats stats_;
   std::vector<QueueStats> qstats_;

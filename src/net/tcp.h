@@ -89,11 +89,6 @@ struct TcpOptions {
   // and survive a TCP server crash.  Off by default: the classic behaviour
   // (established connections die with the server) is byte-for-byte intact.
   bool checkpoint = false;
-  // Storage-journal refresh watermark: a connection's record is re-put to
-  // the storage server after this much un-journaled stream progress (the
-  // hot sequence scalars live in the pool-resident checkpoint page and are
-  // never sent per segment).
-  std::uint32_t ckpt_watermark = 256 * 1024;
   // Congestion-control algorithm (src/net/cc): "newreno" (the default,
   // byte-identical to the previously inlined cwnd math), "cubic" or "bbr".
   std::string cc_algo = "newreno";

@@ -92,7 +92,7 @@ void CheckpointWriter::ckpt_scalars(net::SockId s, const Scalars& sc) {
   // after one whose put was dropped.
   const std::uint32_t progress =
       (sc.snd_una - it->second.last_una) + (sc.rcv_nxt - it->second.last_rcv);
-  if (progress >= env_.watermark) mark_dirty(s);
+  if (progress >= kCkptWatermark) mark_dirty(s);
 }
 
 void CheckpointWriter::ckpt_sndq_push(net::SockId s,
@@ -345,7 +345,7 @@ std::optional<CkptStoreRec> CheckpointWriter::parse_record(
     std::span<const std::byte> bytes) {
   if (bytes.size() < kCkptRecV1Bytes) return std::nullopt;
   CkptStoreRec rec;
-  std::memcpy(&rec, bytes.data(), kCkptRecV1Bytes);
+  std::memcpy(static_cast<void*>(&rec), bytes.data(), kCkptRecV1Bytes);
   // A bare v1 core restores with rec.cc absent (algo 0): the engine falls
   // back to a fresh congestion module.
   if (bytes.size() >= kCkptRecV1Bytes + 4 + sizeof rec.cc) {

@@ -18,10 +18,9 @@
 //  - THE STORAGE SERVER (Section V-D).  What *does* ride IPC is compact
 //    and rare: a directory of checkpointed connections plus one small
 //    record per connection (socket id, page pointer, sequence watermarks),
-//    put on state transitions and refreshed after every
-//    `TcpOptions::ckpt_watermark` bytes of stream progress — never per
-//    segment.  The storage server is how the restarted replica *finds* its
-//    pages again.
+//    put on state transitions and refreshed after every kCkptWatermark
+//    bytes of stream progress — never per segment.  The storage server is
+//    how the restarted replica *finds* its pages again.
 //
 //  - THE LOAN LEDGER (PR 2).  Unacked send data and undelivered receive
 //    data stay in live pool chunks across the crash: every chunk a
@@ -171,6 +170,12 @@ static_assert(std::is_trivially_copyable_v<CkptStoreRec>);
 
 inline constexpr std::size_t kCkptRecV1Bytes = offsetof(CkptStoreRec, cc);
 
+// Storage-journal refresh watermark: a connection's record is re-put to the
+// storage server after this much un-journaled stream progress (the hot
+// sequence scalars live in the pool-resident checkpoint page and are never
+// sent per segment).
+inline constexpr std::uint32_t kCkptWatermark = 256 * 1024;
+
 // The TCP server's side of the subsystem: implements the engine's sink,
 // owns the pages, journals to the storage server, and rebuilds
 // RestoredConn records on restart.
@@ -179,7 +184,6 @@ class CheckpointWriter : public net::TcpCheckpointSink {
   struct Env {
     chan::Pool* pool = nullptr;           // host replica's pool (owns pages)
     chan::PoolRegistry* pools = nullptr;  // ledger ops across foreign pools
-    std::uint32_t watermark = 256 * 1024;
     // Journal transport, provided by the host server (kStorePut to store).
     std::function<bool(const chan::Message&, sim::Context&)> send_store;
     std::function<std::uint64_t()> new_store_req;
@@ -245,7 +249,6 @@ class CheckpointWriter : public net::TcpCheckpointSink {
   // Continuation-page puts of the chained directory: non-zero whenever the
   // replica tracked more connections than one directory record holds.
   std::uint64_t dir_overflows() const { return dir_overflows_; }
-  std::size_t tracked() const { return recs_.size(); }
 
  private:
   struct Rec {

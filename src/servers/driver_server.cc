@@ -1,6 +1,7 @@
 #include "src/servers/driver_server.h"
 
 #include <algorithm>
+#include <cstring>
 #include <span>
 
 #include "src/net/headers.h"
@@ -8,13 +9,12 @@
 
 namespace newtos::servers {
 
-void DriverServer::forward_rx_frame(const chan::RichPtr& buf,
-                                    std::uint32_t len, sim::Context& ctx,
-                                    int queue) {
+void DriverServer::forward_rx_frame(const drv::SimNic::RxCompletion& c,
+                                    sim::Context& ctx) {
   chan::Message m;
   m.opcode = kDrvRx;
-  m.ptr = buf;
-  m.ptr.length = len;  // actual frame length within the buffer
+  m.ptr = c.buffer;
+  m.ptr.length = c.len;  // actual frame length within the buffer
   ++rx_msgs_;
   if (!send_to(ip_name_, m, ctx)) {
     // IP is down or its queue is full: the frame is dropped; the buffer
@@ -22,7 +22,7 @@ void DriverServer::forward_rx_frame(const chan::RichPtr& buf,
     // buffers.  Not silent any more: the drop is counted and surfaced
     // through Node::publish_channel_stats.
     ++rx_dropped_;
-    if (queue < static_cast<int>(rx_dropped_q_.size())) ++rx_dropped_q_[queue];
+    if (c.queue < rx_dropped_q_.size()) ++rx_dropped_q_[c.queue];
   }
 }
 
@@ -41,8 +41,8 @@ void DriverServer::enable_fast_path(int tcp_shards, int udp_shards) {
   udp_shards_ = std::max(1, udp_shards);
 }
 
-std::string DriverServer::fast_target(const drv::SimNic::RxCompletion& c,
-                                      int queue) const {
+std::string DriverServer::fast_target(
+    const drv::SimNic::RxCompletion& c) const {
   if (!fast_path_ || !c.steerable) return {};
   // A frame goes fast only when its home shard IS the queue's shard: the
   // NIC hash and steer_shard agree by construction, so with rx_queues ==
@@ -51,11 +51,11 @@ std::string DriverServer::fast_target(const drv::SimNic::RxCompletion& c,
   if (c.proto == net::kProtoTcp) {
     const int shard =
         static_cast<int>(c.rss_hash % static_cast<std::uint32_t>(tcp_shards_));
-    return shard == queue ? tcp_shard_name(shard) : std::string{};
+    return shard == c.queue ? tcp_shard_name(shard) : std::string{};
   }
   const int shard =
       static_cast<int>(c.rss_hash % static_cast<std::uint32_t>(udp_shards_));
-  return shard == queue ? udp_shard_name(shard) : std::string{};
+  return shard == c.queue ? udp_shard_name(shard) : std::string{};
 }
 
 void DriverServer::send_rx_credit(std::size_t frames, sim::Context& ctx) {
@@ -69,85 +69,104 @@ void DriverServer::send_rx_credit(std::size_t frames, sim::Context& ctx) {
   send_to(ip_name_, m, ctx);
 }
 
-void DriverServer::send_run_to_ip(
-    std::span<const drv::SimNic::RxCompletion> run, sim::Context& ctx,
-    int queue) {
-  if (run.empty()) return;
-  if (burst_pool_ == nullptr) {
-    for (const auto& c : run) forward_rx_frame(c.buffer, c.len, ctx, queue);
-    return;
-  }
-  std::vector<WireRxFrame> recs;
-  recs.reserve(run.size());
-  for (const auto& c : run) {
+chan::RichPtr DriverServer::pack_run(
+    std::span<const drv::SimNic::RxCompletion> run) {
+  if (burst_pool_ == nullptr) return {};
+  const std::uint32_t bytes =
+      static_cast<std::uint32_t>(run.size() * sizeof(WireRxFrame));
+  chan::RichPtr desc = burst_pool_->alloc(bytes);
+  if (!desc.valid()) return desc;
+  auto view = burst_pool_->write_view(desc);
+  for (std::size_t i = 0; i < run.size(); ++i) {
     WireRxFrame rec;
-    rec.frame = c.buffer;
-    rec.frame.length = c.len;
-    recs.push_back(rec);
+    rec.frame = run[i].buffer;
+    rec.frame.length = run[i].len;
+    std::memcpy(view.data() + i * sizeof(WireRxFrame), &rec, sizeof(rec));
   }
-  chan::RichPtr desc = pack_records<WireRxFrame>(*burst_pool_, recs);
+  return desc;
+}
+
+void DriverServer::send_run_to_ip(
+    std::span<const drv::SimNic::RxCompletion> run, sim::Context& ctx) {
+  chan::RichPtr desc = run.size() > 1 ? pack_run(run) : chan::RichPtr{};
   if (!desc.valid()) {
-    // Descriptor pool exhausted: degrade to per-frame messages rather than
-    // dropping a whole burst.
-    for (const auto& c : run) forward_rx_frame(c.buffer, c.len, ctx, queue);
+    // A lone frame travels as itself; a longer run whose descriptor pool is
+    // exhausted degrades to per-frame messages rather than being dropped.
+    for (const auto& c : run) forward_rx_frame(c, ctx);
     return;
   }
   chan::Message m;
   m.opcode = kDrvRxBurst;
   m.ptr = desc;
-  m.arg0 = recs.size();
+  m.arg0 = run.size();
   ++rx_msgs_;
   if (!send_to(ip_name_, m, ctx)) {
-    rx_dropped_ += recs.size();
-    if (queue < static_cast<int>(rx_dropped_q_.size()))
-      rx_dropped_q_[queue] += recs.size();
+    const std::size_t queue = run.front().queue;
+    rx_dropped_ += run.size();
+    if (queue < rx_dropped_q_.size()) rx_dropped_q_[queue] += run.size();
     burst_pool_->release(desc);
   }
 }
 
 std::size_t DriverServer::send_run_fast(
     const std::string& target, std::span<const drv::SimNic::RxCompletion> run,
-    sim::Context& ctx, int queue) {
-  if (run.empty() || burst_pool_ == nullptr) {
-    send_run_to_ip(run, ctx, queue);
-    return 0;
-  }
-  std::vector<WireRxFrame> recs;
-  recs.reserve(run.size());
-  for (const auto& c : run) {
-    WireRxFrame rec;
-    rec.frame = c.buffer;
-    rec.frame.length = c.len;
-    recs.push_back(rec);
-  }
-  chan::RichPtr desc = pack_records<WireRxFrame>(*burst_pool_, recs);
+    sim::Context& ctx) {
+  chan::RichPtr desc = pack_run(run);
   if (!desc.valid()) {
-    for (const auto& c : run) forward_rx_frame(c.buffer, c.len, ctx, queue);
+    for (const auto& c : run) forward_rx_frame(c, ctx);
     return 0;
   }
   chan::Message m;
   m.opcode = kDrvRxFast;
   m.ptr = desc;
-  m.arg0 = recs.size();
+  m.arg0 = run.size();
   m.arg1 = static_cast<std::uint64_t>(ifindex_);
   ++rx_msgs_;
   if (!send_to(target, m, ctx)) {
     // The replica is down or backlogged (reincarnation in progress): its
     // queue drains through the classic IP path until it is back.
     burst_pool_->release(desc);
-    send_run_to_ip(run, ctx, queue);
+    send_run_to_ip(run, ctx);
     return 0;
   }
-  rx_fast_frames_ += recs.size();
+  rx_fast_frames_ += run.size();
   // The frame references are now on loan to the replica: if it dies with
   // the message still queued, IP's reclaim on the replica's restart
   // recovers them (the replica note_returns each frame as it unpacks).
   const char proto = run.front().proto == net::kProtoUdp ? 'U' : 'T';
   for (const auto& c : run) {
     chan::Pool* pool = env().pools->find(c.buffer.pool);
-    if (pool != nullptr) pool->note_borrow(c.buffer, transport_borrower(proto, queue));
+    if (pool != nullptr)
+      pool->note_borrow(c.buffer, transport_borrower(proto, c.queue));
   }
-  return recs.size();
+  return run.size();
+}
+
+void DriverServer::receive(std::span<const drv::SimNic::RxCompletion> burst,
+                           sim::Context& ctx) {
+  // The per-frame descriptor work is charged per frame; the trap, the
+  // receive and the mwait wakeup were paid once for the interrupt.
+  charge(ctx, sim().costs().drv_packet_proc *
+                  static_cast<sim::Cycles>(burst.size()));
+  rx_frames_ += burst.size();
+  // Split the burst into consecutive runs per target: the queue's home
+  // replica for fast-eligible frames, IP for the rest.  A single-target
+  // burst (every classic device) stays one message.
+  std::size_t fast = 0;
+  std::size_t i = 0;
+  while (i < burst.size()) {
+    const std::string target = fast_target(burst[i]);
+    std::size_t j = i + 1;
+    while (j < burst.size() && fast_target(burst[j]) == target) ++j;
+    const auto run = burst.subspan(i, j - i);
+    if (target.empty()) {
+      send_run_to_ip(run, ctx);
+    } else {
+      fast += send_run_fast(target, run, ctx);
+    }
+    i = j;
+  }
+  send_rx_credit(fast, ctx);
 }
 
 void DriverServer::start(bool restart) {
@@ -223,71 +242,13 @@ void DriverServer::install_device_handlers() {
         },
         100);
   });
-  nic_->set_rx([this, inc](chan::RichPtr buf, std::uint32_t len) {
+  // ONE kernel message per receive interrupt, however many frames it holds.
+  nic_->set_rx([this, inc](int,
+                           std::vector<drv::SimNic::RxCompletion>&& burst) {
     if (incarnation() != inc) return;
     post_kernel_msg(
-        [this, buf, len](sim::Context& ctx) {
-          charge(ctx, sim().costs().drv_packet_proc);
-          ++rx_frames_;
-          forward_rx_frame(buf, len, ctx);
-        },
-        100);
-  });
-  if (fast_path_) {
-    // Multi-queue per-frame interrupts: the queue index and RSS metadata
-    // pick the target, one message either way.
-    nic_->set_rx_frame([this, inc](int queue,
-                                   const drv::SimNic::RxCompletion& c) {
-      if (incarnation() != inc) return;
-      post_kernel_msg(
-          [this, queue, c](sim::Context& ctx) {
-            charge(ctx, sim().costs().drv_packet_proc);
-            ++rx_frames_;
-            const std::string target = fast_target(c, queue);
-            if (target.empty()) {
-              forward_rx_frame(c.buffer, c.len, ctx, queue);
-              return;
-            }
-            std::span<const drv::SimNic::RxCompletion> run{&c, 1};
-            send_rx_credit(send_run_fast(target, run, ctx, queue), ctx);
-          },
-          100);
-    });
-  }
-  nic_->set_rx_burst([this, inc](int queue,
-                                 std::vector<drv::SimNic::RxCompletion>&&
-                                     burst) {
-    if (incarnation() != inc) return;
-    // ONE kernel message per coalesced interrupt: the trap, the receive and
-    // the mwait wakeup are amortized over the whole burst.  The per-frame
-    // descriptor work is still charged per frame.
-    post_kernel_msg(
-        [this, queue, burst = std::move(burst)](sim::Context& ctx) {
-          charge(ctx, sim().costs().drv_packet_proc *
-                          static_cast<sim::Cycles>(burst.size()));
-          rx_frames_ += burst.size();
-          ++rx_bursts_;
-          // Split the burst into consecutive runs per target: the queue's
-          // home replica for fast-eligible frames, IP for the rest.  A
-          // single-target burst (every classic device) stays one message.
-          std::size_t fast = 0;
-          std::size_t i = 0;
-          while (i < burst.size()) {
-            const std::string target = fast_target(burst[i], queue);
-            std::size_t j = i + 1;
-            while (j < burst.size() && fast_target(burst[j], queue) == target)
-              ++j;
-            std::span<const drv::SimNic::RxCompletion> run{burst.data() + i,
-                                                           j - i};
-            if (target.empty()) {
-              send_run_to_ip(run, ctx, queue);
-            } else {
-              fast += send_run_fast(target, run, ctx, queue);
-            }
-            i = j;
-          }
-          send_rx_credit(fast, ctx);
-        },
+        [this, b = drv::SimNic::RxBurst(std::move(burst))](
+            sim::Context& ctx) { receive(b.frames(), ctx); },
         100);
   });
   nic_->set_link_change([this, inc](bool up) {

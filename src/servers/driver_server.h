@@ -6,11 +6,13 @@
 // restart resets the device (losing whatever was in the rings — IP
 // resubmits) and the link bounces.
 //
-// With multi-queue RSS enabled the driver polls each queue separately and
-// posts a queue's steerable frames straight to the queue's home transport
-// replica (kDrvRxFast), skipping the central IP hop; everything else — and
-// every frame when a replica is down — takes the classic kDrvRx/kDrvRxBurst
-// path through IP.
+// Every receive interrupt is one burst from one queue (a burst of one when
+// the device does not coalesce) and one kernel message, handled in one
+// place: a lone frame goes to IP as kDrvRx, a longer run as one
+// kDrvRxBurst.  With multi-queue RSS enabled, a queue's steerable frames go
+// straight to the queue's home transport replica (kDrvRxFast), skipping the
+// central IP hop; everything else — and every frame when a replica is
+// down — goes through IP.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,6 @@ class DriverServer : public Server {
   // Section IV-A drop policy made visible).
   std::uint64_t rx_msgs() const { return rx_msgs_; }
   std::uint64_t rx_frames() const { return rx_frames_; }
-  std::uint64_t rx_bursts() const { return rx_bursts_; }
   // Frames dropped because IP's queue was full (or IP was down).
   std::uint64_t rx_dropped() const { return rx_dropped_; }
   std::uint64_t rx_dropped_queue(int queue) const {
@@ -71,19 +72,25 @@ class DriverServer : public Server {
   // counter against delivered frames; two flat strikes reset the device.
   void watchdog_tick();
   void drain_backlog(sim::Context& ctx);
-  void forward_rx_frame(const chan::RichPtr& buf, std::uint32_t len,
-                        sim::Context& ctx, int queue = 0);
-  // Home replica for a completion on `queue`; empty = classic IP path.
-  std::string fast_target(const drv::SimNic::RxCompletion& c,
-                          int queue) const;
-  // Sends `run` to IP as one kDrvRxBurst (per-frame degrade inside).
+  void forward_rx_frame(const drv::SimNic::RxCompletion& c,
+                        sim::Context& ctx);
+  // Home replica for a completion; empty = classic IP path.
+  std::string fast_target(const drv::SimNic::RxCompletion& c) const;
+  // One receive interrupt's frames, all from one queue.
+  void receive(std::span<const drv::SimNic::RxCompletion> burst,
+               sim::Context& ctx);
+  // Packs `run` into one WireRxFrame descriptor of the staging pool;
+  // invalid when there is no staging pool or it is exhausted.
+  chan::RichPtr pack_run(std::span<const drv::SimNic::RxCompletion> run);
+  // Sends `run` to IP: a lone frame as kDrvRx, a longer run as one
+  // kDrvRxBurst (per-frame kDrvRx when no descriptor can be packed).
   void send_run_to_ip(std::span<const drv::SimNic::RxCompletion> run,
-                      sim::Context& ctx, int queue);
+                      sim::Context& ctx);
   // Sends `run` to `target` as one kDrvRxFast; returns the number of
   // frames that actually went fast (0 = the run was degraded to IP).
   std::size_t send_run_fast(const std::string& target,
                             std::span<const drv::SimNic::RxCompletion> run,
-                            sim::Context& ctx, int queue);
+                            sim::Context& ctx);
   void send_rx_credit(std::size_t frames, sim::Context& ctx);
 
   drv::SimNic* nic_;
@@ -98,7 +105,6 @@ class DriverServer : public Server {
   chan::Pool* burst_pool_ = nullptr;
   std::uint64_t rx_msgs_ = 0;
   std::uint64_t rx_frames_ = 0;
-  std::uint64_t rx_bursts_ = 0;
   std::uint64_t rx_dropped_ = 0;
   std::uint64_t rx_fast_frames_ = 0;
   std::vector<std::uint64_t> rx_dropped_q_;

@@ -298,39 +298,25 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       engine_->tx_done(m.req_id, m.arg0 != 0);
       return;
     }
-    case kDrvRx: {
-      charge(ctx, costs.ip_packet_proc);
-      const int ifindex = ifindex_of(from);
-      auto it = posted_.find(ifindex);
-      if (it != posted_.end() && it->second > 0) --it->second;
-      if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(m.ptr.length));
-      engine_->input(ifindex, m.ptr);
-      post_rx_buffers(ifindex, ctx);  // keep the device fed
-      return;
-    }
+    case kDrvRx:
     case kDrvRxBurst: {
-      // One dequeue for the whole coalesced burst; the per-frame protocol
-      // work is still charged per frame.
+      // One dequeue per receive interrupt; the per-frame protocol work is
+      // still charged per frame.
       const int ifindex = ifindex_of(from);
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
+      std::vector<chan::RichPtr> burst;
+      const auto frames = rx_frames(m, *env().pools, burst);
       auto it = posted_.find(ifindex);
-      std::vector<chan::RichPtr> frames;
-      frames.reserve(recs.size());
-      for (const auto& rec : recs) {
+      for (const auto& f : frames) {
         charge(ctx, costs.ip_packet_proc);
-        if (!cfg_.csum_offload) {
-          charge(ctx, costs.checksum_cost(rec.frame.length));
-        }
+        if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(f.length));
         if (it != posted_.end() && it->second > 0) --it->second;
-        frames.push_back(rec.frame);
       }
-      env().pools->release(m.ptr);  // burst descriptor back to the driver
-      if (cfg_.gro) {
+      if (cfg_.gro && frames.size() > 1) {
         engine_->input_burst(ifindex, frames);
       } else {
         for (const auto& f : frames) engine_->input(ifindex, f);
       }
-      post_rx_buffers(ifindex, ctx);
+      post_rx_buffers(ifindex, ctx);  // keep the device fed
       return;
     }
     case kDrvRxCredit: {

@@ -60,20 +60,24 @@ enum Opcode : std::uint16_t {
   // --- IP <-> drivers -------------------------------------------------------------
   kDrvTx = 40,    // ptr=packed chain; req_id=cookie
   kDrvTxDone,     // req_id=cookie; arg0=ok(0/1)
-  kDrvRx,         // ptr=received frame (length = frame length)
+  kDrvRx,         // ptr=received frame (length = frame length): a receive
+                  // interrupt's lone frame for IP, or one frame of a run
+                  // degraded because no descriptor could be packed.
   kDrvRxBuf,      // ptr=fresh receive buffer for the device
   kDrvLink,       // arg0=up(0/1)
-  kDrvRxBurst,    // ptr=packed WireRxFrame array (one coalesced interrupt);
-                  // arg0=frame count.  IP dequeues once per burst; the
-                  // per-frame protocol costs still apply, the per-frame IPC
-                  // costs do not.
+  kDrvRxBurst,    // ptr=packed WireRxFrame array (a run of two or more
+                  // frames of one receive interrupt); arg0=frame count.  IP
+                  // handles it exactly like that many kDrvRx: the per-frame
+                  // protocol costs still apply, the per-frame IPC costs
+                  // do not.
   kDrvRxFast,     // driver -> transport shard (RSS fast path): ptr=packed
                   // WireRxFrame array; arg0=frame count; arg1=ifindex.  The
                   // frames skip the central IP server; the shard runs the
                   // hoisted per-shard IP RX context on them.
-  kDrvRxCredit,   // driver -> IP: arg0=buffers consumed by fast-path frames
-                  // (IP reposts; the frames themselves never passed through
-                  // IP, so kDrvRx/kDrvRxBurst bookkeeping does not fire).
+  kDrvRxCredit,   // driver -> IP: arg0=buffers consumed by the fast-path
+                  // frames of one receive interrupt (IP reposts; the frames
+                  // themselves never passed through IP, so its receive
+                  // bookkeeping does not fire).
   kFastFallback,  // transport -> IP: ptr=frame; arg1=ifindex.  A frame the
                   // per-shard fast path cannot handle (not for our address,
                   // malformed, ICMP, ...) rejoins the classic IP input path.
@@ -235,6 +239,19 @@ inline std::vector<Rec> parse_records(std::span<const std::byte> bytes) {
   std::vector<Rec> recs(bytes.size() / sizeof(Rec));
   std::memcpy(recs.data(), bytes.data(), recs.size() * sizeof(Rec));
   return recs;
+}
+
+// The frames of one receive message from a driver.  A kDrvRx is the frame
+// pointer itself; a kDrvRxBurst is unpacked into `burst` and its descriptor
+// goes back to the driver's pool here.
+inline std::span<const chan::RichPtr> rx_frames(
+    const chan::Message& m, chan::PoolRegistry& pools,
+    std::vector<chan::RichPtr>& burst) {
+  if (m.opcode != kDrvRxBurst) return {&m.ptr, 1};
+  for (const auto& rec : parse_records<WireRxFrame>(pools.read(m.ptr)))
+    burst.push_back(rec.frame);
+  pools.release(m.ptr);
+  return burst;
 }
 
 // Loan-ledger borrower id of a transport replica.  Frames referenced by an

@@ -176,18 +176,22 @@ void StackServer::install_inline_nic_handlers() {
           },
           100);
     });
-    nic->set_rx([this, inc, ifindex](chan::RichPtr buf, std::uint32_t len) {
+    nic->set_rx([this, inc, ifindex](
+                    int, std::vector<drv::SimNic::RxCompletion>&& burst) {
       if (incarnation() != inc) return;
       post_control(
-          [this, ifindex, buf, len](sim::Context& ctx) {
-            charge(ctx, sim().costs().drv_packet_proc +
-                            sim().costs().ip_packet_proc);
-            if (ip_ == nullptr) return;
-            chan::RichPtr frame = buf;
-            frame.length = len;
-            int& posted = posted_[ifindex];
-            if (posted > 0) --posted;
-            ip_->input(ifindex, frame);
+          [this, ifindex, b = drv::SimNic::RxBurst(std::move(burst))](
+              sim::Context& ctx) {
+            for (const auto& c : b.frames()) {
+              charge(ctx, sim().costs().drv_packet_proc +
+                              sim().costs().ip_packet_proc);
+              if (ip_ == nullptr) return;
+              chan::RichPtr frame = c.buffer;
+              frame.length = c.len;
+              int& posted = posted_[ifindex];
+              if (posted > 0) --posted;
+              ip_->input(ifindex, frame);
+            }
             post_rx_buffers(ifindex, ctx);
           },
           100);
@@ -404,32 +408,20 @@ void StackServer::on_message(const std::string& from, const chan::Message& m,
       if (ip_) ip_->tx_done(m.req_id, m.arg0 != 0);
       return;
     }
-    case kDrvRx: {
-      charge(ctx, costs.ip_packet_proc + env().knobs.legacy_per_packet);
-      if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(m.ptr.length));
-      const int ifindex = ifindex_of(from);
-      auto it = posted_.find(ifindex);
-      if (it != posted_.end() && it->second > 0) --it->second;
-      if (ip_) ip_->input(ifindex, m.ptr);
-      post_rx_buffers(ifindex, ctx);
-      return;
-    }
+    case kDrvRx:
     case kDrvRxBurst: {
-      // A coalesced burst from a channel-attached driver.  The combined
+      // A receive interrupt from a channel-attached driver.  The combined
       // stack has no further hop to aggregate for, so each frame takes the
-      // classic in-process path; the burst still amortized the driver's
-      // kernel message and this server's wakeup.
+      // in-process path; a burst still amortized the driver's kernel
+      // message and this server's wakeup.
       const int ifindex = ifindex_of(from);
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
-      env().pools->release(m.ptr);
+      std::vector<chan::RichPtr> burst;
       auto it = posted_.find(ifindex);
-      for (const auto& rec : recs) {
+      for (const auto& f : rx_frames(m, *env().pools, burst)) {
         charge(ctx, costs.ip_packet_proc + env().knobs.legacy_per_packet);
-        if (!cfg_.csum_offload) {
-          charge(ctx, costs.checksum_cost(rec.frame.length));
-        }
+        if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(f.length));
         if (it != posted_.end() && it->second > 0) --it->second;
-        if (ip_) ip_->input(ifindex, rec.frame);
+        if (ip_) ip_->input(ifindex, f);
       }
       post_rx_buffers(ifindex, ctx);
       return;

@@ -1,30 +1,16 @@
 #include "src/servers/tcp_server.h"
 
-#include <algorithm>
-#include <cstring>
-
-#include "src/net/pbuf.h"
-
 namespace newtos::servers {
 
 TcpServer::TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
                      std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
                      int shard, int shard_count)
-    : Server(env, tcp_shard_name(shard), core),
-      opts_(opts),
-      src_for_(std::move(src_for)),
-      shard_(shard),
-      shard_count_(shard_count),
-      siblings_(transport_shard_siblings('T', shard, shard_count)) {}
+    : TransportServer(env, core, 'T', std::move(src_for), shard, shard_count),
+      opts_(opts) {}
 
 TcpServer::~TcpServer() {
   drop_engine(engine_);
   release_in_flight(pool_, tx_descs_);
-}
-
-bool TcpServer::is_sibling(const std::string& peer) const {
-  return std::find(siblings_.begin(), siblings_.end(), peer) !=
-         siblings_.end();
 }
 
 void TcpServer::build_writer() {
@@ -32,7 +18,6 @@ void TcpServer::build_writer() {
   CheckpointWriter::Env we;
   we.pool = pool_;
   we.pools = env().pools;
-  we.watermark = opts_.ckpt_watermark;
   we.send_store = [this](const chan::Message& m, sim::Context& ctx) {
     return send_to(kStoreName, m, ctx);
   };
@@ -51,47 +36,20 @@ void TcpServer::build_writer() {
 
 void TcpServer::build_engine() {
   net::TcpEngine::Env e;
-  e.clock = clock();
+  fill_engine_env(e);
   e.timers = timers();
-  e.pools = env().pools;
-  e.buf_pool = pool_;
-  e.src_for = src_for_;
   e.ckpt = writer_.get();
-  e.shard = shard_;
-  e.shard_count = shard_count_;
-  if (shard_count_ > 1) {
-    e.sock_base = net::sock_shard_base(shard_);
-    e.sock_span = net::kSockShardSpan;
-  }
   e.output = [this](net::TxSeg&& seg, std::uint64_t cookie) {
     sim::Context& ctx = cur();
     // Segmentation work is charged here, per emitted segment — with TSO one
     // superframe covers ~42 MSS of payload, which is the whole point.
     charge(ctx, sim().costs().tcp_segment_proc + 150);
-    chan::RichPtr desc =
-        net::pack_chain(*pool_, seg.l4_header, seg.payload, seg.offload);
+    const chan::RichPtr desc = send_ip_tx(seg, cookie, ctx);
     if (!desc.valid()) {
-      engine_->seg_done(cookie, false);
-      return;
-    }
-    chan::Message m;
-    m.opcode = kIpTx;
-    m.req_id = cookie;
-    m.ptr = desc;
-    m.arg0 = pack_addrs(seg.src, seg.dst);
-    m.arg1 = seg.protocol;
-    if (!send_to(kIpName, m, ctx)) {
-      pool_->release(desc);
-      engine_->seg_done(cookie, false);  // IP down: RTO recovers
+      engine_->seg_done(cookie, false);  // RTO recovers
       return;
     }
     tx_descs_.emplace(cookie, desc);
-  };
-  e.rx_done = [this](const chan::RichPtr& frame) {
-    chan::Message m;
-    m.opcode = kL4RxDone;
-    m.ptr = frame;
-    send_to(kIpName, m, cur());
   };
   e.notify = [this](net::SockId s, net::TcpEvent ev) {
     if (env().sock_event)
@@ -100,53 +58,22 @@ void TcpServer::build_engine() {
   engine_ = std::make_unique<net::TcpEngine>(std::move(e), opts_);
 }
 
-void TcpServer::enable_rx_fastpath(net::IpFastPath::Config cfg,
-                                   std::vector<std::string> driver_names) {
-  rx_fastpath_ = true;
-  fastpath_cfg_ = std::move(cfg);
-  fastpath_drivers_ = std::move(driver_names);
+void TcpServer::deliver(net::L4Packet&& pkt) {
+  // Data segments cost more than pure ACKs; approximate by length.
+  if (in_handler()) {
+    charge(cur(), pkt.l4_length > net::kTcpHeaderLen
+                      ? sim().costs().tcp_segment_proc
+                      : sim().costs().tcp_ack_proc);
+  }
+  engine_->input(std::move(pkt));
 }
 
-void TcpServer::build_fastpath() {
-  net::IpFastPath::Env fe;
-  fe.pools = env().pools;
-  fe.deliver = [this](std::uint8_t, net::L4Packet&& pkt) {
-    // Same per-segment charging as the kL4Rx leg: data segments cost more
-    // than pure ACKs.
-    if (in_handler()) {
-      charge(cur(), pkt.l4_length > net::kTcpHeaderLen
-                        ? sim().costs().tcp_segment_proc
-                        : sim().costs().tcp_ack_proc);
-    }
-    engine_->input(std::move(pkt));
-  };
-  fe.deliver_agg = [this](net::L4AggPacket&& agg) {
-    // The kL4RxAgg mirror: the connection machinery is charged once for the
-    // whole GRO aggregate.
-    if (in_handler()) charge(cur(), sim().costs().tcp_segment_proc);
-    engine_->input_agg(std::move(agg.segs));
-  };
-  fe.pf_check = [this](const net::PfQuery& q, std::uint64_t cookie) {
-    send_to(kPfName, make_pf_check(cookie, q), cur());
-    // PF down: the query stays pending; resubmit_pf on its return repeats
-    // it and the held frames drain then.
-  };
-  fe.fallback = [this](int ifindex, const chan::RichPtr& frame) {
-    chan::Message m;
-    m.opcode = kFastFallback;
-    m.ptr = frame;
-    m.arg1 = static_cast<std::uint64_t>(ifindex);
-    if (!send_to(kIpName, m, cur())) {
-      // IP is down: nobody is left to judge the frame — receive pool.
-      chan::Pool* p = env().pools->find(frame.pool);
-      if (p != nullptr) p->release(frame);
-    }
-  };
-  fe.release = [this](const chan::RichPtr& frame) {
-    chan::Pool* p = env().pools->find(frame.pool);
-    if (p != nullptr) p->release(frame);
-  };
-  fastpath_ = std::make_unique<net::IpFastPath>(std::move(fe), fastpath_cfg_);
+void TcpServer::deliver_agg(std::vector<net::L4Packet>&& segs) {
+  // A GRO super-segment: the connection machinery is charged ONCE for the
+  // whole aggregate — the receive-side mirror of TSO's per-superframe
+  // charge on line 47.
+  if (in_handler()) charge(cur(), sim().costs().tcp_segment_proc);
+  engine_->input_agg(std::move(segs));
 }
 
 void TcpServer::start(bool restart) {
@@ -155,26 +82,12 @@ void TcpServer::start(bool restart) {
   // connections (the directory pages past 1024 entries, see checkpoint.h).
   pool_ = env().get_pool(name() + ".buf",
                          opts_.checkpoint ? 160u << 20 : 32u << 20);
-  for (const char* p : {kIpName, kStoreName, kPfName, kSyscallName}) {
-    expose_in_queue(p, 1024);
-    connect_out(p);
-  }
-  for (const auto& sib : siblings_) {
-    expose_in_queue(sib, 256);
-    connect_out(sib);
-  }
-  if (env().knobs.supervision) {
-    expose_in_queue(kRsName, 64);
-    connect_out(kRsName);
-  }
-  if (rx_fastpath_) {
-    // One RX queue per driver homes on this shard: the drivers post those
-    // frames here directly (kDrvRxFast), so each needs an in-queue.
-    for (const auto& d : fastpath_drivers_) expose_in_queue(d, 512);
-  }
+  open_channels(1024);
   build_writer();
   build_engine();
-  if (rx_fastpath_) build_fastpath();
+  build_fastpath([this](net::L4AggPacket&& agg) {
+    deliver_agg(std::move(agg.segs));
+  });
   if (restart) {
     post_control([this](sim::Context& ctx) {
       if (!store_get(kKeyTcpListeners, ctx)) announce(true);
@@ -236,19 +149,8 @@ void TcpServer::finish_restore(sim::Context& ctx) {
 }
 
 void TcpServer::save_listeners(sim::Context& ctx) {
-  const auto bytes =
-      net::TcpEngine::serialize_listeners(engine_->listeners());
-  chan::RichPtr chunk =
-      pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = kKeyTcpListeners;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
+  store_put(kKeyTcpListeners,
+            net::TcpEngine::serialize_listeners(engine_->listeners()), ctx);
 }
 
 void TcpServer::replicate_listener(const net::TcpEngine::ListenRec& rec,
@@ -264,13 +166,6 @@ void TcpServer::replicate_listener(const net::TcpEngine::ListenRec& rec,
     send_to(*only, m, ctx);
     return;
   }
-  send_to_all(siblings_, m, ctx);
-}
-
-void TcpServer::replicate_close(net::SockId s, sim::Context& ctx) {
-  chan::Message m;
-  m.opcode = kShardRepClose;
-  m.socket = s;
   send_to_all(siblings_, m, ctx);
 }
 
@@ -333,26 +228,7 @@ void TcpServer::handle_sock_request(
 void TcpServer::on_message(const std::string& from, const chan::Message& m,
                            sim::Context& ctx) {
   switch (m.opcode) {
-    case kL4Rx: {
-      // Data segments cost more than pure ACKs; approximate by length.
-      const std::uint16_t l4_len = static_cast<std::uint16_t>(m.arg0);
-      charge(ctx, l4_len > net::kTcpHeaderLen
-                      ? sim().costs().tcp_segment_proc
-                      : sim().costs().tcp_ack_proc);
-      net::L4Packet pkt;
-      pkt.frame = m.ptr;
-      pkt.l4_offset = static_cast<std::uint16_t>(m.arg0 >> 16);
-      pkt.l4_length = l4_len;
-      pkt.src = unpack_hi(m.arg1);
-      pkt.dst = unpack_lo(m.arg1);
-      engine_->input(std::move(pkt));
-      return;
-    }
     case kL4RxAgg: {
-      // A GRO super-segment: the connection machinery is charged ONCE for
-      // the whole aggregate — the receive-side mirror of TSO's per-
-      // superframe charge on line 47.
-      charge(ctx, sim().costs().tcp_segment_proc);
       const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
       std::vector<net::L4Packet> segs;
       segs.reserve(recs.size());
@@ -374,50 +250,9 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
         segs.push_back(pkt);
       }
       env().pools->release(m.ptr);  // descriptor chunk back to IP's pool
-      engine_->input_agg(std::move(segs));
+      deliver_agg(std::move(segs));
       return;
     }
-    case kDrvRxFast: {
-      // RSS fast path: a queue's worth of frames straight from the driver.
-      // The IP work those frames skipped — validation, GRO, the PF
-      // consultation — is paid here, on this shard's core, which is the
-      // whole point: it spreads across replicas instead of serializing on
-      // the central IP core.
-      const auto recs = parse_records<WireRxFrame>(env().pools->read(m.ptr));
-      charge(ctx, sim().costs().ip_packet_proc *
-                      static_cast<sim::Cycles>(recs.size()));
-      std::vector<chan::RichPtr> frames;
-      frames.reserve(recs.size());
-      for (const auto& rec : recs) {
-        // Return the driver's loan before processing (the kL4RxAgg
-        // discipline): from here on the teardown path covers the frames.
-        chan::Pool* p = env().pools->find(rec.frame.pool);
-        if (p != nullptr) {
-          p->note_return(rec.frame, transport_borrower('T', shard_));
-        }
-        frames.push_back(rec.frame);
-      }
-      env().pools->release(m.ptr);  // driver's descriptor chunk
-      if (fastpath_) {
-        fastpath_->input_burst(static_cast<int>(m.arg1), frames);
-      } else {
-        for (const auto& f : frames) {
-          chan::Pool* p = env().pools->find(f.pool);
-          if (p != nullptr) p->release(f);
-        }
-      }
-      return;
-    }
-    case kPfVerdict:
-      charge(ctx, 120);
-      if (fastpath_) fastpath_->pf_verdict(m.req_id, m.arg0 != 0);
-      return;
-    case kPfCacheInval:
-      // The rule set changed (or PF restarted): every cached verdict is
-      // stale.  Pending queries were answered under submission order, so
-      // held frames still drain correctly.
-      if (fastpath_) fastpath_->invalidate_cache();
-      return;
     case kIpTxDone: {
       charge(ctx, sim().costs().request_db_op);
       auto it = tx_descs_.find(m.req_id);
@@ -426,27 +261,6 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
         tx_descs_.erase(it);
       }
       engine_->seg_done(m.req_id, m.arg0 != 0);
-      return;
-    }
-    case kConnList: {
-      const auto keys = engine_->connection_keys();
-      const std::uint32_t bytes = static_cast<std::uint32_t>(
-          4 + keys.size() * sizeof(net::PfStateKey));
-      chan::RichPtr chunk = pool_->alloc(bytes);
-      chan::Message r;
-      r.opcode = kConnListReply;
-      r.req_id = m.req_id;
-      if (chunk.valid()) {
-        auto view = pool_->write_view(chunk);
-        std::uint32_t n = static_cast<std::uint32_t>(keys.size());
-        std::memcpy(view.data(), &n, 4);
-        if (n > 0) {
-          std::memcpy(view.data() + 4, keys.data(),
-                      keys.size() * sizeof(net::PfStateKey));
-        }
-        r.ptr = chunk;
-      }
-      send_to(from, r, ctx);
       return;
     }
     case kDrvLink:
@@ -467,12 +281,6 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
     case kShardRepClose:
       engine_->close(m.socket);
       return;
-    case kStoreRelease:
-      pool_->release(m.ptr);
-      return;
-    case kStoreAck:
-      request_db().complete(m.req_id);
-      return;
     case kStoreReply: {
       if (!request_db().complete(m.req_id)) return;
       auto git = store_gets_.find(m.req_id);
@@ -488,58 +296,8 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
       }
       return;
     }
-    case kWorkProbe: {
-      // The reincarnation server's end-to-end probe.  Handling it *is*
-      // work: a silently wedged incarnation drops it (Server::drop_work)
-      // and the missing ack is the detection signal.  Ack IMMEDIATELY —
-      // the probe decides whether *this* replica processes work; a wedged
-      // IP or PF downstream must never get a healthy transport restarted
-      // in its place (their own heartbeats cover them).  The echo still
-      // bounces through IP and PF so the full path is exercised and the
-      // deeper ack reports the hops (the prober ignores duplicates).
-      // The canary quantum makes the ack's latency scale with any
-      // slowdown of this replica (see CostModel::probe_canary); the ack
-      // must go out AFTER the charge is paid, hence reply_after_charges.
-      charge(ctx, sim().costs().probe_canary);
-      reply_after_charges([this, cookie = m.req_id](sim::Context& c) {
-        chan::Message ack;
-        ack.opcode = kWorkProbeAck;
-        ack.req_id = cookie;
-        ack.arg0 = 1;
-        send_to(kRsName, ack, c);
-        chan::Message p;
-        p.opcode = kWorkProbe;
-        p.req_id = cookie;
-        send_to(kIpName, p, c);
-      });
-      return;
-    }
-    case kWorkProbeAck: {
-      chan::Message ack;
-      ack.opcode = kWorkProbeAck;
-      ack.req_id = m.req_id;
-      ack.arg0 = m.arg0 + 1;
-      send_to(kRsName, ack, ctx);
-      return;
-    }
-    case kSockBatch: {
-      // One channel message carries a whole submission-queue flush.
-      const auto ops = parse_sock_batch(env().pools->read(m.ptr));
-      run_sock_batch(ops, [&, this](char, const chan::Message& sm,
-                                    const auto& note_open) {
-        handle_sock_request(sm, ctx, [&, this](const chan::Message& r) {
-          note_open(r);
-          send_to(from, r, ctx);
-        });
-      });
-      return;
-    }
     default:
-      if (m.opcode >= kSockOpen && m.opcode <= kSockClose) {
-        handle_sock_request(m, ctx, [this, from, &ctx](const chan::Message& r) {
-          send_to(from, r, ctx);
-        });
-      }
+      TransportServer::on_message(from, m, ctx);
       return;
   }
 }
@@ -643,12 +401,6 @@ void TcpServer::on_peer_up(const std::string& peer, bool restarted,
     if (writer_) writer_->store_all(ctx);
     return;
   }
-  if (peer == kPfName && fastpath_) {
-    // PF (re)appeared: any unanswered fast-path queries died with the old
-    // incarnation — repeat them so the held frames drain.
-    fastpath_->resubmit_pf();
-    return;
-  }
   if (is_sibling(peer) && engine_) {
     // A sibling replica came up (first boot or post-crash): push it our
     // home listeners so its accept queue for every steered port exists.
@@ -656,7 +408,9 @@ void TcpServer::on_peer_up(const std::string& peer, bool restarted,
     for (const auto& rec : engine_->listeners()) {
       if (net::sock_shard(rec.id) == shard_) replicate_listener(rec, ctx, &peer);
     }
+    return;
   }
+  TransportServer::on_peer_up(peer, restarted, ctx);
 }
 
 }  // namespace newtos::servers

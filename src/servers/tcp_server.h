@@ -22,26 +22,29 @@
 // any replica can accept the connections steered to it.  Replicas restart
 // individually: flows on sibling shards keep running while one recovers —
 // and with checkpointing on, even the crashed replica's own flows do.
+//
+// What every transport replica shares (the RSS fast path, the probe echo,
+// socket control, replica bookkeeping) lives in TransportServer; this class
+// adds the TCP engine, its receive sinks, listener replication and the
+// checkpoint journal.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
-#include <deque>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "src/net/ip_fastpath.h"
 #include "src/net/tcp.h"
 #include "src/servers/checkpoint.h"
-#include "src/servers/proto.h"
-#include "src/servers/server.h"
+#include "src/servers/transport_server.h"
 
 namespace newtos::servers {
 
-class TcpServer : public Server {
+class TcpServer : public TransportServer {
  public:
   TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
             std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
@@ -52,25 +55,12 @@ class TcpServer : public Server {
   ~TcpServer() override;
 
   net::TcpEngine* engine() { return engine_.get(); }
-  int shard() const { return shard_; }
-
-  // Multi-queue RSS: this replica owns one NIC RX queue per driver and runs
-  // the hoisted IP receive work (src/net/ip_fastpath.h) on frames the
-  // drivers post directly (kDrvRxFast).  Must be called before boot.
-  void enable_rx_fastpath(net::IpFastPath::Config cfg,
-                          std::vector<std::string> driver_names);
-  // Fast-path statistics (null when the fast path is off), published as
-  // per-shard node stats and the bench's per-shard inbound frame count.
-  const net::IpFastPath* fastpath() const { return fastpath_.get(); }
 
   // Checkpoint overhead counters (0 with checkpointing off), published as
   // node stats "tcp.ckpt_puts" / "tcp.ckpt_bytes".
   std::uint64_t ckpt_puts() const { return writer_ ? writer_->puts() : 0; }
   std::uint64_t ckpt_bytes() const {
     return writer_ ? writer_->put_bytes() : 0;
-  }
-  std::uint64_t ckpt_tracked() const {
-    return writer_ ? writer_->tracked() : 0;
   }
   // Overflow events: per-connection ring overflows (connection reverts to
   // classic non-recoverable) plus directory continuation-page spills (now
@@ -79,9 +69,9 @@ class TcpServer : public Server {
     return writer_ ? writer_->overflows() + writer_->dir_overflows() : 0;
   }
 
-  void handle_sock_request(const chan::Message& m, sim::Context& ctx,
-                           const std::function<void(const chan::Message&)>&
-                               reply);
+  void handle_sock_request(
+      const chan::Message& m, sim::Context& ctx,
+      const std::function<void(const chan::Message&)>& reply) override;
 
  protected:
   void start(bool restart) override;
@@ -90,18 +80,21 @@ class TcpServer : public Server {
   void on_peer_up(const std::string& peer, bool restarted,
                   sim::Context& ctx) override;
   void on_killed() override;
+  void deliver(net::L4Packet&& pkt) override;
+  std::vector<net::PfStateKey> connection_keys() const override {
+    return engine_->connection_keys();
+  }
 
  private:
   void build_writer();
   void build_engine();
-  void build_fastpath();
+  // The GRO sink (kL4RxAgg and the fast path's aggregates).
+  void deliver_agg(std::vector<net::L4Packet>&& segs);
   void save_listeners(sim::Context& ctx);
-  bool is_sibling(const std::string& peer) const;
-  // SO_REUSEPORT-style replication: pushes one listener record (or its
-  // removal) to every sibling replica / to one named sibling.
+  // SO_REUSEPORT-style replication: pushes one listener record to every
+  // sibling replica / to one named sibling.
   void replicate_listener(const net::TcpEngine::ListenRec& rec,
                           sim::Context& ctx, const std::string* only = nullptr);
-  void replicate_close(net::SockId s, sim::Context& ctx);
 
   // --- checkpoint restore (restart with TcpOptions::checkpoint on) ----------------
   // Issues a kStoreGet and remembers which key the reply answers.
@@ -113,18 +106,8 @@ class TcpServer : public Server {
   void finish_restore(sim::Context& ctx);
 
   net::TcpOptions opts_;
-  std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for_;
-  int shard_ = 0;
-  int shard_count_ = 1;
-  std::vector<std::string> siblings_;
   std::unique_ptr<CheckpointWriter> writer_;  // before engine_: outlives it
   std::unique_ptr<net::TcpEngine> engine_;
-  // RSS fast path (null unless enable_rx_fastpath was called).
-  bool rx_fastpath_ = false;
-  net::IpFastPath::Config fastpath_cfg_;
-  std::vector<std::string> fastpath_drivers_;
-  std::unique_ptr<net::IpFastPath> fastpath_;
-  chan::Pool* pool_ = nullptr;
   // kIpTx descriptors in flight; freed on kIpTxDone or IP restart.
   std::unordered_map<std::uint64_t, chan::RichPtr> tx_descs_;
   // In-flight kStoreGet requests of the restart sequence (req -> key).

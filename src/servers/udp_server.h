@@ -8,6 +8,10 @@
 // arbitrary replica, so the whole (small) socket table is replicated to
 // every shard on each change; the receive queues stay per replica and the
 // socket layer drains them all.
+//
+// What every transport replica shares (the RSS fast path, the probe echo,
+// socket control, replica bookkeeping) lives in TransportServer; this class
+// adds the UDP engine, its receive sink and socket-record replication.
 #pragma once
 
 #include <cstdint>
@@ -16,17 +20,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/net/ip_fastpath.h"
 #include "src/net/udp.h"
-#include "src/servers/proto.h"
-#include "src/servers/server.h"
+#include "src/servers/transport_server.h"
 
 namespace newtos::servers {
 
-class UdpServer : public Server {
+class UdpServer : public TransportServer {
  public:
-  // `src_for` selects a source address for unbound sockets (static routing
-  // knowledge baked in at build time, like an /etc/ip config).
   UdpServer(NodeEnv* env, sim::SimCore* core,
             std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
             int shard = 0, int shard_count = 1);
@@ -35,22 +35,10 @@ class UdpServer : public Server {
   ~UdpServer() override;
 
   net::UdpEngine* engine() { return engine_.get(); }
-  int shard() const { return shard_; }
 
-  // Multi-queue RSS: this replica owns one NIC RX queue per driver and runs
-  // the hoisted IP receive work (src/net/ip_fastpath.h) on frames the
-  // drivers post directly (kDrvRxFast).  Must be called before boot.
-  void enable_rx_fastpath(net::IpFastPath::Config cfg,
-                          std::vector<std::string> driver_names);
-  // Fast-path statistics (null when the fast path is off).
-  const net::IpFastPath* fastpath() const { return fastpath_.get(); }
-
-  // Socket control entry point shared by the channel path (on_message) and
-  // the direct kernel-IPC path (Table II line 2).  `reply` delivers the
-  // kSockReply message to the requester.
-  void handle_sock_request(const chan::Message& m, sim::Context& ctx,
-                           const std::function<void(const chan::Message&)>&
-                               reply);
+  void handle_sock_request(
+      const chan::Message& m, sim::Context& ctx,
+      const std::function<void(const chan::Message&)>& reply) override;
 
  protected:
   void start(bool restart) override;
@@ -59,29 +47,20 @@ class UdpServer : public Server {
   void on_peer_up(const std::string& peer, bool restarted,
                   sim::Context& ctx) override;
   void on_killed() override;
+  void deliver(net::L4Packet&& pkt) override;
+  std::vector<net::PfStateKey> connection_keys() const override {
+    return engine_->connection_keys();
+  }
 
  private:
   void build_engine();
-  void build_fastpath();
   void save_sockets(sim::Context& ctx);
-  bool is_sibling(const std::string& peer) const;
-  // Pushes one socket record (or its removal) to every sibling replica /
-  // to one named sibling.
+  // Pushes one socket record to every sibling replica / to one named
+  // sibling.
   void replicate_sock(net::SockId s, sim::Context& ctx,
                       const std::string* only = nullptr);
-  void replicate_close(net::SockId s, sim::Context& ctx);
 
-  std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for_;
-  int shard_ = 0;
-  int shard_count_ = 1;
-  std::vector<std::string> siblings_;
   std::unique_ptr<net::UdpEngine> engine_;
-  // RSS fast path (null unless enable_rx_fastpath was called).
-  bool rx_fastpath_ = false;
-  net::IpFastPath::Config fastpath_cfg_;
-  std::vector<std::string> fastpath_drivers_;
-  std::unique_ptr<net::IpFastPath> fastpath_;
-  chan::Pool* pool_ = nullptr;
   struct PendingTx {
     chan::RichPtr desc;
     std::uint64_t arg0 = 0;  // src/dst for resubmission

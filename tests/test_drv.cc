@@ -31,7 +31,8 @@ struct Rig {
 
   // Builds a valid ETH+IP+TCP frame header chunk addressed a -> b.
   chan::RichPtr make_frame_hdr(std::uint32_t payload_len,
-                               std::uint32_t seq = 1000) {
+                               std::uint32_t seq = 1000,
+                               std::uint16_t sport = 1) {
     chan::RichPtr hdr = pool->alloc(
         net::kEthHeaderLen + net::kIpHeaderLen + net::kTcpHeaderLen);
     auto view = pool->write_view(hdr);
@@ -50,7 +51,7 @@ struct Rig {
     ip.dst = net::Ipv4Addr(10, 0, 0, 2);
     ip.serialize(w);
     net::TcpHeader tcp;
-    tcp.src_port = 1;
+    tcp.src_port = sport;
     tcp.dst_port = 2;
     tcp.seq = seq;
     tcp.flags = net::tcpflag::kAck | net::tcpflag::kPsh;
@@ -113,9 +114,10 @@ TEST(Nic, TxRxRoundTripDma) {
 
   chan::RichPtr got;
   std::uint32_t got_len = 0;
-  rig.b.set_rx([&](chan::RichPtr buf, std::uint32_t len) {
-    got = buf;
-    got_len = len;
+  rig.b.set_rx([&](int, std::vector<SimNic::RxCompletion>&& burst) {
+    ASSERT_EQ(burst.size(), 1u);
+    got = burst.front().buffer;
+    got_len = burst.front().len;
   });
   bool tx_done = false;
   rig.a.set_tx_done([&](std::uint64_t cookie, bool ok) {
@@ -146,7 +148,9 @@ TEST(Nic, MacFilterDropsForeignFrames) {
   chan::RichPtr rx_buf = rig.pool->alloc(2048);
   rig.b.rx_post(rx_buf);
   int got = 0;
-  rig.b.set_rx([&](chan::RichPtr, std::uint32_t) { ++got; });
+  rig.b.set_rx([&](int, std::vector<SimNic::RxCompletion>&& burst) {
+    got += static_cast<int>(burst.size());
+  });
   net::TxFrame f;
   f.header = hdr;
   rig.a.tx_post(std::move(f), 1);
@@ -175,10 +179,12 @@ TEST(Nic, TsoSplitsSuperframeCorrectly) {
 
   for (int i = 0; i < 4; ++i) rig.b.rx_post(rig.pool->alloc(2048));
   std::vector<std::vector<std::byte>> frames;
-  rig.b.set_rx([&](chan::RichPtr buf, std::uint32_t len) {
-    auto bytes = rig.pools.read(chan::RichPtr{buf.pool, buf.offset, len,
-                                              buf.generation});
-    frames.emplace_back(bytes.begin(), bytes.end());
+  rig.b.set_rx([&](int, std::vector<SimNic::RxCompletion>&& burst) {
+    for (const auto& c : burst) {
+      auto bytes = rig.pools.read(chan::RichPtr{
+          c.buffer.pool, c.buffer.offset, c.len, c.buffer.generation});
+      frames.emplace_back(bytes.begin(), bytes.end());
+    }
   });
 
   net::TxFrame f;
@@ -246,7 +252,9 @@ TEST(Nic, WedgeDropsUntilReset) {
   Rig rig;
   rig.b.rx_post(rig.pool->alloc(2048));
   int got = 0;
-  rig.b.set_rx([&](chan::RichPtr, std::uint32_t) { ++got; });
+  rig.b.set_rx([&](int, std::vector<SimNic::RxCompletion>&& burst) {
+    got += static_cast<int>(burst.size());
+  });
   rig.b.set_wedged(true);
   net::TxFrame f;
   f.header = rig.make_frame_hdr(0);
@@ -271,3 +279,70 @@ TEST(Nic, RingFullRejectsDescriptors) {
   EXPECT_EQ(accepted, 256);
   EXPECT_GE(lone.stats().tx_ring_full, 44u);
 }
+
+// One receive interrupt per queue burst, on a 4-queue RSS device, with the
+// device coalescing (4 frames) and not (0: one interrupt per frame).
+class NicRssInterrupts : public ::testing::TestWithParam<int> {};
+
+TEST_P(NicRssInterrupts, EachInterruptCarriesOneQueue) {
+  constexpr int kQueues = 4;
+  constexpr int kFrames = 64;
+  SimNic::Config nc;
+  nc.rx_queues = kQueues;
+  nc.rx_coalesce_frames = GetParam();
+  Rig rig(Wire::Config{}, nc);
+  const bool coalescing = rig.b.coalescing();
+  EXPECT_EQ(coalescing, GetParam() > 1);
+  for (int q = 0; q < kQueues; ++q) {
+    for (int i = 0; i < kFrames; ++i)
+      ASSERT_TRUE(rig.b.rx_post(q, rig.pool->alloc(2048)));
+  }
+
+  int interrupts = 0;
+  int frames = 0;
+  std::vector<int> per_queue(kQueues, 0);
+  rig.b.set_rx([&](int queue, std::vector<SimNic::RxCompletion>&& burst) {
+    ++interrupts;
+    ASSERT_FALSE(burst.empty());
+    if (!coalescing) {
+      EXPECT_EQ(burst.size(), 1u);
+    }
+    for (const auto& c : burst) {
+      EXPECT_EQ(c.queue, queue);
+      ASSERT_TRUE(c.steerable);
+      EXPECT_EQ(static_cast<int>(c.rss_hash % kQueues), queue);
+      ++frames;
+      ++per_queue[queue];
+    }
+  });
+
+  // One frame per flow: the source port varies the 4-tuple hash.
+  for (int i = 0; i < kFrames; ++i) {
+    net::TxFrame f;
+    f.header = rig.make_frame_hdr(0, 1000, static_cast<std::uint16_t>(
+                                               1000 + i));
+    ASSERT_TRUE(rig.a.tx_post(std::move(f), static_cast<std::uint64_t>(i)));
+  }
+  rig.sim.run_to_completion();
+
+  EXPECT_EQ(frames, kFrames);
+  for (int q = 0; q < kQueues; ++q) EXPECT_GT(per_queue[q], 0) << "queue " << q;
+  const auto& st = rig.b.stats();
+  if (coalescing) {
+    EXPECT_EQ(st.rx_bursts, static_cast<std::uint64_t>(interrupts));
+    EXPECT_LT(interrupts, kFrames);
+  } else {
+    EXPECT_EQ(interrupts, kFrames);
+    EXPECT_EQ(st.rx_bursts, 0u);
+    EXPECT_EQ(st.rx_timer_flushes, 0u);
+  }
+  std::uint64_t queue_bursts = 0;
+  for (int q = 0; q < kQueues; ++q) queue_bursts += rig.b.queue_stats(q).rx_bursts;
+  EXPECT_EQ(queue_bursts, st.rx_bursts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Coalescing, NicRssInterrupts,
+                         ::testing::Values(0, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param > 1 ? "Coalesced" : "PerFrame";
+                         });
