@@ -36,8 +36,6 @@ struct NodeConfig {
   std::string name = "newtos";
   StackMode mode = StackMode::kSplitSyscall;
   int nics = 1;
-  double wire_gbps = 1.0;  // per NIC (the wire object is external; this is
-                           // recorded for reporting only)
   bool tso = false;
   bool csum_offload = true;
   bool use_pf = true;
@@ -100,9 +98,8 @@ struct NodeConfig {
   // off: every Table II/III/IV baseline is byte-identical; the paper's
   // manual-restart behaviour stands.
   bool supervision = false;
-  // Addressing: NIC i sits on 10.(subnet_base+i).0.0/24; this host takes
-  // .1 when `left`, .2 otherwise.
-  std::uint8_t subnet_base = 1;
+  // Addressing: NIC i sits on 10.(1+i).0.0/24; this host takes .1 when
+  // `left`, .2 otherwise.
   bool left = true;
 
   bool split_stack() const {

@@ -50,7 +50,6 @@ Node::Node(sim::Simulator& sim, NodeConfig cfg)
   env_.knobs.supervision = cfg_.supervision;
   env_.knobs.legacy_per_packet =
       cfg_.mode == StackMode::kMinixSync ? sim.costs().minix_stack_per_packet : 0;
-  env_.knobs.app_write_size = cfg_.app_write_size;
   env_.get_queue = [this](const std::string& name, std::size_t cap) {
     auto it = queues_.find(name);
     if (it == queues_.end()) {
@@ -87,15 +86,13 @@ Node::Node(sim::Simulator& sim, NodeConfig cfg)
 Node::~Node() = default;
 
 net::Ipv4Addr Node::addr(int nic_index) const {
-  return net::Ipv4Addr(10,
-                       static_cast<std::uint8_t>(cfg_.subnet_base + nic_index),
-                       0, cfg_.left ? 1 : 2);
+  return net::Ipv4Addr(10, static_cast<std::uint8_t>(1 + nic_index), 0,
+                       cfg_.left ? 1 : 2);
 }
 
 net::Ipv4Addr Node::peer_addr(int nic_index) const {
-  return net::Ipv4Addr(10,
-                       static_cast<std::uint8_t>(cfg_.subnet_base + nic_index),
-                       0, cfg_.left ? 2 : 1);
+  return net::Ipv4Addr(10, static_cast<std::uint8_t>(1 + nic_index), 0,
+                       cfg_.left ? 2 : 1);
 }
 
 net::IpConfig Node::make_ip_config() const {
@@ -106,9 +103,7 @@ net::IpConfig Node::make_ip_config() const {
     ifc.mac = nics_[i]->mac();
     ifc.addr = addr(i);
     ifc.subnet = net::Ipv4Net{
-        net::Ipv4Addr(10, static_cast<std::uint8_t>(cfg_.subnet_base + i), 0,
-                      0),
-        24};
+        net::Ipv4Addr(10, static_cast<std::uint8_t>(1 + i), 0, 0), 24};
     ifc.mtu = 1500;
     ip.interfaces.push_back(ifc);
   }
@@ -157,8 +152,6 @@ void Node::build() {
           : 1;
   for (int i = 0; i < cfg_.nics; ++i) {
     drv::SimNic::Config nc;
-    nc.hw_tso = true;
-    nc.hw_csum = true;
     nc.rx_coalesce_frames = cfg_.rx_coalesce_frames;
     nc.rx_coalesce_usecs = cfg_.rx_coalesce_usecs;
     nc.rx_queues = rx_queues;

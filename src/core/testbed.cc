@@ -51,7 +51,6 @@ Testbed::Testbed(const TestbedOptions& opts) {
   left.name = "newtos";
   left.mode = opts.mode;
   left.nics = opts.nics;
-  left.wire_gbps = opts.gbps;
   left.tso = opts.tso;
   left.csum_offload = opts.csum_offload;
   left.use_pf = opts.use_pf;
@@ -80,7 +79,6 @@ Testbed::Testbed(const TestbedOptions& opts) {
   right.name = "peer";
   right.mode = StackMode::kIdealMonolithic;
   right.nics = opts.nics;
-  right.wire_gbps = opts.gbps;
   right.tso = true;  // the peer is never the bottleneck
   right.csum_offload = true;
   right.use_pf = false;
@@ -108,7 +106,6 @@ Testbed::Testbed(const TestbedOptions& opts) {
     wc.queue_frames = opts.wire_queue_frames;
     wc.reorder = opts.wire_reorder;
     wc.reorder_delay = opts.wire_reorder_delay;
-    wc.loss_post_queue = opts.wire_loss_post_queue;
     wires_.push_back(std::make_unique<drv::Wire>(sim_, wc));
     left_->attach_wire(i, wires_.back().get(), 0);
     right_->attach_wire(i, wires_.back().get(), 1);

@@ -65,7 +65,6 @@ struct TestbedOptions {
   std::uint32_t wire_queue_frames = 0;  // bottleneck FIFO bound; 0 = none
   double wire_reorder = 0.0;            // reordering probability
   sim::Time wire_reorder_delay = 50 * sim::kMicrosecond;
-  bool wire_loss_post_queue = false;    // loss only for queued frames
 };
 
 class Testbed {

@@ -112,7 +112,7 @@ void SimNic::pump_tx() {
       net::flatten(pools_, entry.frame.header, entry.frame.payload);
 
   sim::Time done_at = sim_.now();
-  if (entry.frame.offload.tso && cfg_.hw_tso &&
+  if (entry.frame.offload.tso &&
       entry.frame.payload_len() > entry.frame.offload.mss) {
     for (auto& piece : tso_split(bytes, entry.frame.offload.mss)) {
       ++stats_.tx_frames;

@@ -38,8 +38,6 @@ class SimNic {
     int tx_ring = 256;
     int rx_ring = 256;
     std::uint32_t mtu = 1500;
-    bool hw_tso = true;           // device can segment
-    bool hw_csum = true;          // device can checksum
     // Receive interrupt coalescing (e1000 RDTR/RADV style): the device
     // accumulates completed RX descriptors and raises ONE interrupt per
     // burst, bounded by a frame count and an absolute timer.  Values <= 1

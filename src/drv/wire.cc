@@ -37,7 +37,6 @@ sim::Time Wire::transmit(int end, std::vector<std::byte>&& frame) {
   // The sender's NIC always serializes at line rate (its tx-complete and
   // the return value below do not know about the bottleneck hop).
   const sim::Time start = std::max(now, tx_free_at_[end]);
-  bool queued = start > now;
   tx_free_at_[end] = start + ser;
   busy_ns_[end] += ser;
   bytes_carried_ += frame.size();
@@ -59,7 +58,6 @@ sim::Time Wire::transmit(int end, std::vector<std::byte>&& frame) {
         static_cast<double>(wire_bytes) * 8.0 * 1e9 /
         cfg_.bottleneck_bits_per_sec);
     const sim::Time bstart = std::max(tx_free_at_[end], btl_free_at_[end]);
-    queued = queued || bstart > tx_free_at_[end];
     btl_free_at_[end] = bstart + bser;
     depart = btl_free_at_[end];
   }
@@ -72,12 +70,9 @@ sim::Time Wire::transmit(int end, std::vector<std::byte>&& frame) {
   sojourn_ns_max_ = std::max(sojourn_ns_max_, sojourn);
 
   const int other = 1 - end;
-  // Loss draw.  Legacy mode: uniform across every frame (the RNG sequence
-  // existing experiments depend on).  Post-queue mode: only frames that
-  // found the link busy are candidates, so zero-payload ACKs on an idle
-  // reverse path are spared and drops correlate with congestion.
-  const bool loss_candidate = cfg_.loss_post_queue ? queued : true;
-  if (cfg_.loss > 0.0 && loss_candidate && rng_.chance(cfg_.loss)) {
+  // Loss draw: uniform across every frame (the RNG sequence existing
+  // experiments depend on).
+  if (cfg_.loss > 0.0 && rng_.chance(cfg_.loss)) {
     ++frames_lost_;
     return tx_free_at_[end];
   }

@@ -13,10 +13,7 @@
 //    many departures are still pending are tail-dropped, so drops correlate
 //    with standing queue — what loss-based congestion control reacts to;
 //  - random reordering (reorder/reorder_delay): a reordered frame is held
-//    back by reorder_delay, letting later frames overtake it;
-//  - post-queue loss (loss_post_queue): the loss draw applies only to
-//    frames that found the link busy, instead of uniformly to every frame
-//    (zero-payload ACKs included) as the legacy mode does.
+//    back by reorder_delay, letting later frames overtake it.
 // All of these default off; the default configuration consumes RNG draws
 // in exactly the legacy order, keeping existing benchmarks byte-identical.
 #pragma once
@@ -43,7 +40,6 @@ class Wire {
     std::uint32_t queue_frames = 0;  // bottleneck FIFO bound; 0 = unbounded
     double reorder = 0.0;            // per-frame reordering probability
     sim::Time reorder_delay = 50 * sim::kMicrosecond;  // hold-back on reorder
-    bool loss_post_queue = false;    // loss only for frames that queued
   };
 
   using DeliverFn = std::function<void(std::vector<std::byte>&&)>;

@@ -244,7 +244,7 @@ bool TcpEngine::connect(SockId s, Ipv4Addr dst, std::uint16_t port) {
   c.snd_buf_end = c.iss + 1;  // SYN occupies one sequence number
   c.cc = make_cc(lport, port);
   sync_cc(c);
-  c.rto = opts_.rto_initial;
+  c.rto = kRtoInitial;
   c.snd_wnd = opts_.mss;  // until the peer tells us
   conns_.emplace(s, std::move(c));
   by_tuple_[ConnKey{dst.value, port, lport}] = s;
@@ -452,7 +452,7 @@ std::uint32_t TcpEngine::rcv_space(const Conn& c) const {
 }
 
 std::uint16_t TcpEngine::window_field(const Conn& c) const {
-  const std::uint32_t scaled = rcv_space(c) >> opts_.wscale;
+  const std::uint32_t scaled = rcv_space(c) >> kWscale;
   return static_cast<std::uint16_t>(std::min<std::uint32_t>(scaled, 65535));
 }
 
@@ -594,7 +594,7 @@ void TcpEngine::on_path_restored() {
         c.state != TcpState::CloseWait && c.state != TcpState::LastAck)
       continue;
     if (!seq_lt(c.snd_una, c.snd_nxt)) continue;
-    c.rto = opts_.rto_initial;
+    c.rto = kRtoInitial;
     c.snd_nxt = c.snd_una;
     c.in_recovery = false;
     c.dup_acks = 0;
@@ -628,8 +628,7 @@ void TcpEngine::tcp_output(Conn& c) {
     // Bytes of queued payload not yet sent.
     const std::uint32_t unsent =
         seq_lt(c.snd_nxt, fin_seq) ? fin_seq - c.snd_nxt : 0;
-    const std::uint32_t max_seg =
-        opts_.tso ? opts_.tso_max_payload : opts_.mss;
+    const std::uint32_t max_seg = opts_.tso ? kTsoMaxPayload : opts_.mss;
     const std::uint32_t len =
         std::min({unsent, wnd_avail, max_seg});
 
@@ -696,7 +695,7 @@ void TcpEngine::on_rto(SockId sock) {
   c->rto_timer = 0;
 
   if (c->state == TcpState::SynSent || c->state == TcpState::SynRcvd) {
-    if (++c->syn_attempts > opts_.syn_retries) {
+    if (++c->syn_attempts > kSynRetries) {
       destroy_conn(sock, true);
       return;
     }
@@ -705,7 +704,7 @@ void TcpEngine::on_rto(SockId sock) {
             ? tcpflag::kSyn
             : static_cast<std::uint8_t>(tcpflag::kSyn | tcpflag::kAck);
     send_segment(*c, c->iss, 0, flags, true);
-    c->rto = std::min(c->rto * 2, opts_.rto_max);
+    c->rto = std::min(c->rto * 2, kRtoMax);
     arm_rto(*c);
     return;
   }
@@ -720,7 +719,7 @@ void TcpEngine::on_rto(SockId sock) {
   c->dup_acks = 0;
   c->in_recovery = false;
   c->rtt_sampling = false;
-  c->rto = std::min(c->rto * 2, opts_.rto_max);
+  c->rto = std::min(c->rto * 2, kRtoMax);
   tcp_output(*c);
   arm_rto(*c);
 }
@@ -733,7 +732,7 @@ void TcpEngine::schedule_ack(Conn& c) {
   }
   if (c.ack_timer == 0) {
     const SockId sock = c.sock;
-    c.ack_timer = env_.timers->schedule(opts_.delayed_ack, [this, sock] {
+    c.ack_timer = env_.timers->schedule(kDelayedAck, [this, sock] {
       Conn* cc = conn_for(sock);
       if (cc == nullptr) return;
       cc->ack_timer = 0;
@@ -748,7 +747,7 @@ void TcpEngine::process_ack(Conn& c, const TcpHeader& h) {
   const std::uint32_t ack = h.ack;
   const sim::Time now = env_.clock->now();
   // Update the peer's advertised window (scaled; see DESIGN.md).
-  c.snd_wnd = static_cast<std::uint32_t>(h.window) << opts_.wscale;
+  c.snd_wnd = static_cast<std::uint32_t>(h.window) << kWscale;
 
   // Accept ACKs up to the high-water mark: after an RTO rewound snd_nxt,
   // ACKs for data sent before the rewind are still valid.
@@ -768,7 +767,7 @@ void TcpEngine::process_ack(Conn& c, const TcpHeader& h) {
         c.rttvar = (3 * c.rttvar + err) / 4;
         c.srtt = (7 * c.srtt + m) / 8;
       }
-      c.rto = std::clamp(c.srtt + 4 * c.rttvar, opts_.rto_min, opts_.rto_max);
+      c.rto = std::clamp(c.srtt + 4 * c.rttvar, opts_.rto_min, kRtoMax);
       c.rtt_sampling = false;
       c.cc->on_rtt_sample(m, now);
     }
@@ -920,8 +919,8 @@ void TcpEngine::input(L4Packet&& pkt) {
       nc.high_water = nc.iss + 1;
       nc.cc = make_cc(l.port, h->src_port);
       sync_cc(nc);
-      nc.rto = opts_.rto_initial;
-      nc.snd_wnd = static_cast<std::uint32_t>(h->window) << opts_.wscale;
+      nc.rto = kRtoInitial;
+      nc.snd_wnd = static_cast<std::uint32_t>(h->window) << kWscale;
       nc.parent_listener = l.sock;
       conns_.emplace(child, std::move(nc));
       by_tuple_[ConnKey{pkt.src.value, h->src_port, h->dst_port}] = child;
@@ -961,9 +960,9 @@ void TcpEngine::input(L4Packet&& pkt) {
         c->irs = h->seq;
         c->rcv_nxt = h->seq + 1;
         c->snd_una = h->ack;
-        c->snd_wnd = static_cast<std::uint32_t>(h->window) << opts_.wscale;
+        c->snd_wnd = static_cast<std::uint32_t>(h->window) << kWscale;
         c->state = TcpState::Established;
-        c->rto = opts_.rto_initial;
+        c->rto = kRtoInitial;
         cancel_rto(*c);
         ++stats_.conns_established;
         ckpt_establish(*c, /*accept_pending=*/false);
@@ -985,9 +984,9 @@ void TcpEngine::input(L4Packet&& pkt) {
       }
       if (h->has(tcpflag::kAck) && h->ack == c->iss + 1) {
         c->snd_una = h->ack;
-        c->snd_wnd = static_cast<std::uint32_t>(h->window) << opts_.wscale;
+        c->snd_wnd = static_cast<std::uint32_t>(h->window) << kWscale;
         c->state = TcpState::Established;
-        c->rto = opts_.rto_initial;
+        c->rto = kRtoInitial;
         cancel_rto(*c);
         ++stats_.conns_established;
         ckpt_establish(*c, /*accept_pending=*/true);
@@ -1292,7 +1291,7 @@ void TcpEngine::enter_time_wait(Conn& c) {
   const SockId sock = c.sock;
   if (c.timewait_timer) env_.timers->cancel(c.timewait_timer);
   c.timewait_timer = env_.timers->schedule(
-      opts_.time_wait, [this, sock] { destroy_conn(sock, false); });
+      kTimeWait, [this, sock] { destroy_conn(sock, false); });
 }
 
 void TcpEngine::destroy_conn(SockId s, bool notify_reset) {
@@ -1449,9 +1448,9 @@ bool TcpEngine::restore_conn(const RestoredConn& rec) {
   if (cc_restored && rec.cc.rto > 0) {
     c.srtt = rec.cc.srtt;
     c.rttvar = rec.cc.rttvar;
-    c.rto = std::clamp(rec.cc.rto, opts_.rto_min, opts_.rto_max);
+    c.rto = std::clamp(rec.cc.rto, opts_.rto_min, kRtoMax);
   } else {
-    c.rto = opts_.rto_initial;
+    c.rto = kRtoInitial;
   }
   c.fin_queued = rec.fin_queued;
   c.peer_fin = rec.peer_fin;

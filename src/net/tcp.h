@@ -67,23 +67,25 @@ enum class TcpEvent : std::uint8_t {
   Closed,       // fully closed
 };
 
+// Protocol constants every node shares.
+// Max payload of one TSO superframe; keeps total_length <= 65535.
+inline constexpr std::uint32_t kTsoMaxPayload = 42 * 1460;  // 61320
+// Window scale applied by both ends of the simulation (negotiation is not
+// modelled on the wire; see DESIGN.md fidelity notes).
+inline constexpr std::uint8_t kWscale = 6;
+inline constexpr sim::Time kRtoInitial = 1 * sim::kSecond;
+inline constexpr sim::Time kRtoMax = 60 * sim::kSecond;
+inline constexpr sim::Time kDelayedAck = 40 * sim::kMillisecond;
+inline constexpr sim::Time kTimeWait = 1 * sim::kSecond;
+inline constexpr int kSynRetries = 5;
+
 struct TcpOptions {
   std::uint16_t mss = 1460;
   bool tso = false;
-  // Max payload of one TSO superframe; must keep total_length <= 65535.
-  std::uint32_t tso_max_payload = 42 * 1460;  // 61320
-  // Window scale applied by both ends of the simulation (negotiation is not
-  // modelled on the wire; see DESIGN.md fidelity notes).
-  std::uint8_t wscale = 6;
   std::uint32_t sndbuf_max = 1 << 20;
   std::uint32_t rcvbuf_max = 1 << 20;
   std::uint32_t initial_cwnd_segs = 10;
-  sim::Time rto_initial = 1 * sim::kSecond;
   sim::Time rto_min = 200 * sim::kMillisecond;
-  sim::Time rto_max = 60 * sim::kSecond;
-  sim::Time delayed_ack = 40 * sim::kMillisecond;
-  sim::Time time_wait = 1 * sim::kSecond;
-  int syn_retries = 5;
   // Connection checkpointing (the Table I limitation, removed): established
   // connections journal their TCB through the host server's checkpoint sink
   // and survive a TCP server crash.  Off by default: the classic behaviour

@@ -224,20 +224,9 @@ void CheckpointWriter::schedule_flush() {
 
 bool CheckpointWriter::put(std::uint32_t key, std::span<const std::byte> value,
                            sim::Context& ctx) {
-  chan::RichPtr chunk =
-      env_.pool->alloc(static_cast<std::uint32_t>(value.size()));
-  if (!chunk.valid()) return false;  // pool exhausted: a later flush retries
-  auto view = env_.pool->write_view(chunk);
-  std::copy(value.begin(), value.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = key;
-  m.req_id = env_.new_store_req();
-  m.ptr = chunk;
-  if (!env_.send_store(m, ctx)) {
-    env_.pool->release(chunk);
-    return false;  // store down: store_all on its restart also re-seeds
-  }
+  // Pool exhausted or store down: a later flush retries, and store_all on
+  // the storage server's restart re-seeds everything.
+  if (!env_.store_put(key, value, ctx)) return false;
   ++puts_;
   put_bytes_ += value.size();
   return true;

@@ -49,7 +49,6 @@
 #include <span>
 #include <vector>
 
-#include "src/chan/message.h"
 #include "src/chan/pool.h"
 #include "src/net/tcp.h"
 #include "src/sim/sim.h"
@@ -184,9 +183,11 @@ class CheckpointWriter : public net::TcpCheckpointSink {
   struct Env {
     chan::Pool* pool = nullptr;           // host replica's pool (owns pages)
     chan::PoolRegistry* pools = nullptr;  // ledger ops across foreign pools
-    // Journal transport, provided by the host server (kStorePut to store).
-    std::function<bool(const chan::Message&, sim::Context&)> send_store;
-    std::function<std::uint64_t()> new_store_req;
+    // Journal transport: the host server's store_put.  False when the put
+    // could not leave (pool exhausted, store unreachable).
+    std::function<bool(std::uint32_t key, std::span<const std::byte> value,
+                       sim::Context&)>
+        store_put;
     // Defers the journal flush to the end of the handler turn, so every
     // transition of one turn rides one batch of puts.
     std::function<void(std::function<void(sim::Context&)>)> defer;

@@ -196,36 +196,27 @@ void IpServer::start(bool restart) {
     // Recover the routing/interface configuration from the storage server
     // before announcing (Table I: small static state, easy to restore).
     post_control([this](sim::Context& ctx) {
-      chan::Message m;
-      m.opcode = kStoreGet;
-      m.arg0 = kKeyIpConfig;
-      store_get_req_ = request_db().add(kStoreName, 0, {});
-      m.req_id = store_get_req_;
-      if (!send_to(kStoreName, m, ctx)) {
-        announce(true);  // no storage: come up with compiled-in config
-      }
+      // No storage: come up with the compiled-in config.
+      if (!store_get(kKeyIpConfig, ctx)) announce(true);
     });
   } else {
     post_control([this](sim::Context& ctx) {
-      store_config(ctx);
+      store_state(ctx);
       announce(false);
     });
   }
 }
 
-void IpServer::store_config(sim::Context& ctx) {
-  const auto bytes = engine_->config().serialize();
-  chan::RichPtr chunk =
-      hdr_pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = hdr_pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = kKeyIpConfig;
-  m.req_id = request_db().add(kStoreName, chunk.offset, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) hdr_pool_->release(chunk);
+void IpServer::store_state(sim::Context& ctx) {
+  store_put(kKeyIpConfig, engine_->config().serialize(), *hdr_pool_, ctx);
+}
+
+void IpServer::on_stored(std::uint32_t, std::span<const std::byte> value,
+                         sim::Context&) {
+  if (auto cfg = net::IpConfig::parse(value)) {
+    engine_->set_config(std::move(*cfg));
+  }
+  announce(true);
 }
 
 void IpServer::on_killed() {
@@ -238,9 +229,9 @@ void IpServer::on_killed() {
 
 void IpServer::post_rx_buffers(int ifindex, sim::Context& ctx) {
   int& posted = posted_[ifindex];
-  const int target = cfg_.rx_buffers_per_nic * std::max(1, cfg_.rx_queues);
+  const int target = kRxBuffersPerQueue * std::max(1, cfg_.rx_queues);
   while (posted < target) {
-    chan::RichPtr buf = rx_pool_->alloc(cfg_.rx_buf_size);
+    chan::RichPtr buf = rx_pool_->alloc(kRxBufSize);
     if (!buf.valid()) return;
     chan::Message m;
     m.opcode = kDrvRxBuf;
@@ -427,28 +418,6 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       probe_from_.erase(it);
       return;
     }
-    case kStoreAck: {
-      std::uint64_t chunk_off = 0;
-      if (request_db().complete(m.req_id, &chunk_off)) {
-        // Our config snapshot was copied by the storage server; free it.
-        hdr_pool_->release(m.ptr);
-      }
-      return;
-    }
-    case kStoreReply: {
-      if (!request_db().complete(m.req_id)) return;
-      if (m.arg0 != 0) {
-        auto bytes = env().pools->read(m.ptr);
-        auto cfg = net::IpConfig::parse(bytes);
-        if (cfg) engine_->set_config(std::move(*cfg));
-        chan::Message rel;
-        rel.opcode = kStoreRelease;
-        rel.ptr = m.ptr;
-        send_to(kStoreName, rel, ctx);
-      }
-      announce(true);
-      return;
-    }
     default:
       return;
   }
@@ -471,12 +440,6 @@ void IpServer::on_peer_up(const std::string& peer, bool restarted,
     // PF lost our unanswered queries; repeat them — no packet loss across a
     // PF restart (Section V-D, Figure 5).
     engine_->resubmit_pf_pending();
-    return;
-  }
-  if (peer == kStoreName && restarted && engine_) {
-    // Storage came back empty: every server must store its state again.
-    store_config(ctx);
-    return;
   }
 }
 

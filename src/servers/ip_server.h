@@ -23,8 +23,6 @@ class IpServer : public Server {
     std::vector<int> ifindexes;
     bool use_pf = true;
     bool csum_offload = true;
-    int rx_buffers_per_nic = 96;
-    std::uint32_t rx_buf_size = 2048;
     // Sharded transport plane: how many TCP/UDP replicas inbound frames
     // are steered across (by 4-tuple hash).  1 = the classic single pair.
     int tcp_shards = 1;
@@ -34,7 +32,7 @@ class IpServer : public Server {
     // super-segment.  Off by default; meaningful only when the NIC
     // coalesces (kDrvRxBurst is the only producer of bursts).
     bool gro = false;
-    // RSS queue pairs per NIC.  IP posts rx_buffers_per_nic buffers per
+    // RSS queue pairs per NIC.  IP posts kRxBuffersPerQueue buffers per
     // queue so every ring stays fed, and fast-path frames consumed by the
     // transports come back as kDrvRxCredit instead of kDrvRx.
     int rx_queues = 1;
@@ -57,10 +55,13 @@ class IpServer : public Server {
                   sim::Context& ctx) override;
   void on_peer_down(const std::string& peer, sim::Context& ctx) override;
   void on_killed() override;
+  // The routing/interface configuration (Table I: small static state).
+  void store_state(sim::Context& ctx) override;
+  void on_stored(std::uint32_t key, std::span<const std::byte> value,
+                 sim::Context& ctx) override;
 
  private:
   void build_engine();
-  void store_config(sim::Context& ctx);
   void post_rx_buffers(int ifindex, sim::Context& ctx);
   static int ifindex_of(const std::string& driver);
   // The transport replica an inbound packet is steered to: a 4-tuple hash
@@ -85,7 +86,6 @@ class IpServer : public Server {
   std::map<int, int> posted_;  // rx buffers outstanding per ifindex
   // In-flight work probes (cookie -> the transport replica to ack).
   std::map<std::uint64_t, std::string> probe_from_;
-  std::uint64_t store_get_req_ = 0;
   std::uint64_t l4_msgs_ = 0;
   std::uint64_t l4_frames_ = 0;
 };

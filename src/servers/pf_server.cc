@@ -25,11 +25,7 @@ void PfServer::start(bool restart) {
   engine_ = std::make_unique<net::PfEngine>(clock());
   if (restart) {
     post_control([this](sim::Context& ctx) {
-      chan::Message m;
-      m.opcode = kStoreGet;
-      m.arg0 = kKeyPfRules;
-      m.req_id = request_db().add(kStoreName, 0, {});
-      if (!send_to(kStoreName, m, ctx)) {
+      if (!store_get(kKeyPfRules, ctx)) {
         engine_->set_rules(initial_rules_);
         announce(true);
       }
@@ -37,7 +33,7 @@ void PfServer::start(bool restart) {
   } else {
     engine_->set_rules(initial_rules_);
     post_control([this](sim::Context& ctx) {
-      save_rules(ctx);
+      store_state(ctx);
       announce(false);
     });
   }
@@ -55,7 +51,7 @@ void PfServer::apply_rules(std::vector<net::PfRule> rules) {
   post_control([this, rules = std::move(rules)](sim::Context& ctx) mutable {
     if (engine_ == nullptr) return;
     engine_->set_rules(std::move(rules));
-    save_rules(ctx);
+    store_state(ctx);
     // Shard-local verdict caches are judging with the old rules until this
     // lands; the broadcast must go out before any further verdict is
     // cached against the new set.
@@ -63,19 +59,20 @@ void PfServer::apply_rules(std::vector<net::PfRule> rules) {
   });
 }
 
-void PfServer::save_rules(sim::Context& ctx) {
-  const auto bytes = net::PfEngine::serialize_rules(engine_->rules());
-  chan::RichPtr chunk =
-      pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = kKeyPfRules;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
+void PfServer::store_state(sim::Context& ctx) {
+  store_put(kKeyPfRules, net::PfEngine::serialize_rules(engine_->rules()),
+            *pool_, ctx);
+}
+
+void PfServer::on_stored(std::uint32_t, std::span<const std::byte> value,
+                         sim::Context& ctx) {
+  auto rules = net::PfEngine::parse_rules(value);
+  engine_->set_rules(rules ? std::move(*rules) : initial_rules_);
+  announce(true);
+  request_conn_lists(ctx);
+  // A restarted PF cannot vouch for verdicts cached against the dead
+  // incarnation's rules.
+  broadcast_cache_inval(ctx);
 }
 
 void PfServer::request_conn_lists(sim::Context& ctx) {
@@ -192,39 +189,9 @@ void PfServer::on_message(const std::string& from, const chan::Message& m,
       }
       return;
     }
-    case kStoreAck:
-      request_db().complete(m.req_id);
-      return;
-    case kStoreReply: {
-      if (!request_db().complete(m.req_id)) return;
-      bool restored = false;
-      if (m.arg0 != 0) {
-        auto rules = net::PfEngine::parse_rules(env().pools->read(m.ptr));
-        if (rules) {
-          engine_->set_rules(std::move(*rules));
-          restored = true;
-        }
-        chan::Message rel;
-        rel.opcode = kStoreRelease;
-        rel.ptr = m.ptr;
-        send_to(kStoreName, rel, ctx);
-      }
-      if (!restored) engine_->set_rules(initial_rules_);
-      announce(true);
-      request_conn_lists(ctx);
-      // A restarted PF cannot vouch for verdicts cached against the dead
-      // incarnation's rules.
-      broadcast_cache_inval(ctx);
-      return;
-    }
     default:
       return;
   }
-}
-
-void PfServer::on_peer_up(const std::string& peer, bool restarted,
-                          sim::Context& ctx) {
-  if (peer == kStoreName && restarted) save_rules(ctx);
 }
 
 }  // namespace newtos::servers

@@ -35,12 +35,14 @@ class PfServer : public Server {
   void start(bool restart) override;
   void on_message(const std::string& from, const chan::Message& m,
                   sim::Context& ctx) override;
-  void on_peer_up(const std::string& peer, bool restarted,
-                  sim::Context& ctx) override;
   void on_killed() override;
+  // The rule set (static state); the connection table is rebuilt from the
+  // transports instead.
+  void store_state(sim::Context& ctx) override;
+  void on_stored(std::uint32_t key, std::span<const std::byte> value,
+                 sim::Context& ctx) override;
 
  private:
-  void save_rules(sim::Context& ctx);
   void request_conn_lists(sim::Context& ctx);
   void broadcast_cache_inval(sim::Context& ctx);
 

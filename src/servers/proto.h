@@ -9,7 +9,7 @@
 //   IP <-> PF              : kPfCheck / kPfVerdict
 //   IP <-> DRV             : kDrvTx(+Done), kDrvRx, kDrvRxBuf, kDrvLink
 //   IP -> TCP/UDP          : kL4Rx / kL4RxDone back (receive-pool frees)
-//   * <-> STORE            : kStorePut/Get/Reply/Release (state recovery)
+//   * <-> STORE            : kStorePut/Ack/Get/Reply/Release (state recovery)
 //   PF -> TCP/UDP          : kConnList / kConnListReply (state rebuild)
 #pragma once
 
@@ -18,7 +18,6 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/chan/message.h"
@@ -114,8 +113,9 @@ enum Opcode : std::uint16_t {
   kShardRepClose,         // socket=id (listener / UDP socket removal)
 
   // --- storage ---------------------------------------------------------------------------
-  kStorePut = 90,  // arg0=key id; ptr=value bytes (requester pool)
-  kStoreAck,       // req_id
+  kStorePut = 90,  // arg0=key id; ptr=value bytes in a requester chunk,
+                   // freed by the requester when the kStoreAck arrives
+  kStoreAck,       // req_id; ptr=the put's chunk (the value was copied)
   kStoreGet,       // arg0=key id
   kStoreReply,     // req_id; arg0=found(0/1); ptr=value (storage pool)
   kStoreRelease,   // ptr=chunk in storage pool to free
@@ -189,6 +189,11 @@ inline net::PfQuery parse_pf_check(const chan::Message& m) {
   q.tcp_flags = static_cast<std::uint8_t>(m.arg2 & 0xff);
   return q;
 }
+
+// Receive buffers the IP side keeps posted to each NIC RX queue, and their
+// size (one full Ethernet frame plus headroom).
+inline constexpr int kRxBuffersPerQueue = 96;
+inline constexpr std::uint32_t kRxBufSize = 2048;
 
 // --- receive-side batching (kDrvRxBurst / kL4RxAgg / kPfCheckBatch) ----------------
 //
@@ -314,26 +319,6 @@ inline WireSockOp sock_op_from_message(char proto, const chan::Message& m) {
   return op;
 }
 
-// Packs `ops` into a chunk of `pool`; null on pool exhaustion (drop/defer,
-// never block).
-inline chan::RichPtr pack_sock_batch(chan::Pool& pool,
-                                     std::span<const WireSockOp> ops) {
-  const std::uint32_t bytes =
-      static_cast<std::uint32_t>(ops.size() * sizeof(WireSockOp));
-  chan::RichPtr chunk = pool.alloc(bytes);
-  if (!chunk.valid()) return chunk;
-  auto view = pool.write_view(chunk);
-  std::memcpy(view.data(), ops.data(), bytes);
-  return chunk;
-}
-
-inline std::vector<WireSockOp> parse_sock_batch(
-    std::span<const std::byte> bytes) {
-  std::vector<WireSockOp> ops(bytes.size() / sizeof(WireSockOp));
-  std::memcpy(ops.data(), bytes.data(), ops.size() * sizeof(WireSockOp));
-  return ops;
-}
-
 // Runs every op of a batch in array order, resolving the in-batch open
 // sentinel per protocol.  `handle(proto, msg, note_open)` must execute the
 // op and invoke `note_open(reply)` synchronously from its reply path so
@@ -404,15 +389,6 @@ inline void route_sock_shards(std::span<const WireSockOp> ops, int tcp_shards,
     }
     assign(i, shard);
   }
-}
-
-template <typename AssignFn>
-inline void route_sock_shards(std::span<const WireSockOp> ops, int tcp_shards,
-                              int udp_shards, ShardCursors& rr,
-                              AssignFn&& assign) {
-  route_sock_shards(ops, tcp_shards, udp_shards, rr,
-                    std::forward<AssignFn>(assign),
-                    [](char, int) { return true; });
 }
 
 // Well-known server names.

@@ -3,8 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
+
+#include "src/servers/proto.h"
 
 namespace newtos::servers {
 
@@ -93,6 +96,73 @@ void Server::post_control(std::function<void(sim::Context&)> fn,
 
 void Server::on_peer_up(const std::string&, bool, sim::Context&) {}
 void Server::on_peer_down(const std::string&, sim::Context&) {}
+void Server::store_state(sim::Context&) {}
+void Server::on_stored(std::uint32_t, std::span<const std::byte>,
+                       sim::Context&) {}
+
+// --- storage client --------------------------------------------------------------------
+
+bool Server::store_put(std::uint32_t key, std::span<const std::byte> value,
+                       chan::Pool& pool, sim::Context& ctx) {
+  chan::RichPtr chunk = pool.alloc(static_cast<std::uint32_t>(value.size()));
+  if (!chunk.valid()) return false;
+  auto view = pool.write_view(chunk);
+  std::copy(value.begin(), value.end(), view.begin());
+  chan::Message m;
+  m.opcode = kStorePut;
+  m.arg0 = key;
+  m.req_id = rdb_.add(kStoreName, chunk.offset, {});
+  m.ptr = chunk;
+  if (send_to(kStoreName, m, ctx)) return true;
+  rdb_.complete(m.req_id);
+  pool.release(chunk);
+  return false;
+}
+
+bool Server::store_get(std::uint32_t key, sim::Context& ctx) {
+  chan::Message m;
+  m.opcode = kStoreGet;
+  m.arg0 = key;
+  m.req_id = rdb_.add(kStoreName, key, {});
+  if (send_to(kStoreName, m, ctx)) return true;
+  rdb_.complete(m.req_id);
+  return false;
+}
+
+void Server::dispatch(const std::string& from, const chan::Message& m,
+                      sim::Context& ctx) {
+  std::uint64_t cookie = 0;
+  switch (m.opcode) {
+    case kStoreAck:
+      // The storage server copied the value: the chunk the put named (its
+      // offset is the cookie) goes back to our pool.  A stale ack, from
+      // before our own restart, is ignored.
+      if (rdb_.complete(m.req_id, &cookie) && m.ptr.offset == cookie) {
+        env_->pools->release(m.ptr);
+      }
+      return;
+    case kStoreReply: {
+      if (!rdb_.complete(m.req_id, &cookie)) return;
+      const bool found = m.arg0 != 0;
+      on_stored(static_cast<std::uint32_t>(cookie),
+                found ? env_->pools->read(m.ptr)
+                      : std::span<const std::byte>{},
+                ctx);
+      // Only after on_stored: a restore that chains its next kStoreGet from
+      // the handler gets it queued ahead of this release.
+      if (found) {
+        chan::Message rel;
+        rel.opcode = kStoreRelease;
+        rel.ptr = m.ptr;
+        send_to(kStoreName, rel, ctx);
+      }
+      return;
+    }
+    default:
+      on_message(from, m, ctx);
+      return;
+  }
+}
 
 // --- channel plumbing -----------------------------------------------------------------
 
@@ -141,6 +211,9 @@ void Server::connect_out(const std::string& peer) {
         post_control(
             [this, peer, up, restarted](sim::Context& ctx) {
               if (up) {
+                // The storage server came back empty: store everything
+                // again.
+                if (restarted && peer == kStoreName) store_state(ctx);
                 on_peer_up(peer, restarted, ctx);
               } else {
                 on_peer_down(peer, ctx);
@@ -257,7 +330,7 @@ void Server::pump(sim::Context& ctx) {
       if (g_trace)
         std::fprintf(stderr, "[%.6f]   msg %s->%s op=%u\n", sim().now() / 1e9,
                      from.c_str(), name_.c_str(), m.opcode);
-      if (!drop_work_) on_message(from, m, ctx);
+      if (!drop_work_) dispatch(from, m, ctx);
       ++handled;
       ++messages_handled_;
       got = true;

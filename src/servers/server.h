@@ -11,6 +11,16 @@
 // channel manager, peers learn about deaths and rebirths through
 // publish/subscribe, and subclasses hook on_peer_up/on_peer_down to run
 // their request-database abort actions and resubmission policies.
+//
+// Every stateful server reloads what it kept in the storage server
+// (Section V-D, Table I) through one client that lives here.  store_put
+// copies a value into the caller's pool and frees that chunk when the
+// storage server's kStoreAck echoes it; store_get fetches a key.  The base
+// consumes kStoreAck and kStoreReply before on_message, and a server
+// implements two hooks: store_state puts everything it keeps (the base also
+// calls it when the storage server comes back empty after a restart), and
+// on_stored takes a get's answer, after which the base hands the storage
+// server's chunk back with kStoreRelease.
 #pragma once
 
 #include <cassert>
@@ -19,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +59,6 @@ struct RuntimeKnobs {
   double cost_scale = 1.0;  // scales protocol-processing costs (ideal peer)
   // Extra per-packet path length of the legacy MINIX stack (Table II line 1).
   sim::Cycles legacy_per_packet = 0;
-  std::uint32_t app_write_size = 8192;
   // Self-healing supervision plane: the reincarnation server escalates from
   // heartbeats/probes to automatic restarts (hang, silent wedge, slowdown)
   // and the drivers watch their NIC for receive wedges.  Servers only
@@ -216,6 +226,19 @@ class Server {
   virtual void on_peer_down(const std::string& peer, sim::Context& ctx);
   // Release engine state on death (before a restart re-creates it).
   virtual void on_killed() {}
+  // The storage hooks (see the header comment).  on_stored's `value` is
+  // empty when nothing was stored under `key`, and it lives in the storage
+  // server's pool only until on_stored returns.
+  virtual void store_state(sim::Context& ctx);
+  virtual void on_stored(std::uint32_t key, std::span<const std::byte> value,
+                         sim::Context& ctx);
+
+  // --- storage client (Section V-D) ------------------------------------------------
+  // Both return false when the request could not leave (pool exhausted,
+  // storage server unreachable); nothing stays allocated then.
+  bool store_put(std::uint32_t key, std::span<const std::byte> value,
+                 chan::Pool& pool, sim::Context& ctx);
+  bool store_get(std::uint32_t key, sim::Context& ctx);
 
   // --- channel plumbing --------------------------------------------------------------
   // Creates/resets the queue `from` -> me, exports it to `from` and
@@ -285,6 +308,10 @@ class Server {
   void wake();
   void pump(sim::Context& ctx);
   void enter_idle(sim::Context& ctx);
+  // Consumes the storage server's answers (kStoreAck, kStoreReply) and
+  // passes every other message to on_message.
+  void dispatch(const std::string& from, const chan::Message& m,
+                sim::Context& ctx);
 
   NodeEnv* env_;
   std::string name_;

@@ -213,8 +213,8 @@ void StackServer::install_inline_nic_handlers() {
 
 void StackServer::post_rx_buffers(int ifindex, sim::Context& ctx) {
   int& posted = posted_[ifindex];
-  while (posted < cfg_.rx_buffers_per_nic) {
-    chan::RichPtr buf = rx_pool_->alloc(cfg_.rx_buf_size);
+  while (posted < kRxBuffersPerQueue) {
+    chan::RichPtr buf = rx_pool_->alloc(kRxBufSize);
     if (!buf.valid()) return;
     if (cfg_.inline_drivers) {
       drv::SimNic* nic = nic_of(ifindex);
@@ -261,11 +261,7 @@ void StackServer::start(bool restart) {
     post_control([this](sim::Context& ctx) {
       for (std::uint32_t key :
            {kKeyIpConfig, kKeyUdpSockets, kKeyTcpListeners, kKeyPfRules}) {
-        chan::Message m;
-        m.opcode = kStoreGet;
-        m.arg0 = key;
-        m.req_id = request_db().add(kStoreName, key, {});
-        if (!send_to(kStoreName, m, ctx)) --restore_replies_expected_;
+        if (!store_get(key, ctx)) --restore_replies_expected_;
       }
       if (restore_replies_expected_ <= 0) announce(true);
     });
@@ -290,30 +286,54 @@ void StackServer::on_killed() {
   posted_.clear();
 }
 
-void StackServer::save_one(std::uint32_t key,
-                           const std::vector<std::byte>& bytes,
-                           sim::Context& ctx) {
-  if (bytes.empty()) return;
-  chan::RichPtr chunk = pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = key;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
+void StackServer::store_tcp_listeners(sim::Context& ctx) {
+  store_put(kKeyTcpListeners,
+            net::TcpEngine::serialize_listeners(tcp_->listeners()), *pool_,
+            ctx);
+}
+
+void StackServer::store_udp_sockets(sim::Context& ctx) {
+  store_put(kKeyUdpSockets, net::UdpEngine::serialize_socks(udp_->snapshot()),
+            *pool_, ctx);
 }
 
 void StackServer::store_state(sim::Context& ctx) {
-  save_one(kKeyIpConfig, ip_->config().serialize(), ctx);
-  save_one(kKeyUdpSockets, net::UdpEngine::serialize_socks(udp_->snapshot()),
-           ctx);
-  save_one(kKeyTcpListeners,
-           net::TcpEngine::serialize_listeners(tcp_->listeners()), ctx);
-  if (pf_)
-    save_one(kKeyPfRules, net::PfEngine::serialize_rules(pf_->rules()), ctx);
+  store_put(kKeyIpConfig, ip_->config().serialize(), *pool_, ctx);
+  store_udp_sockets(ctx);
+  store_tcp_listeners(ctx);
+  if (pf_) {
+    store_put(kKeyPfRules, net::PfEngine::serialize_rules(pf_->rules()),
+              *pool_, ctx);
+  }
+}
+
+void StackServer::on_stored(std::uint32_t key, std::span<const std::byte> value,
+                            sim::Context&) {
+  switch (key) {
+    case kKeyIpConfig:
+      if (auto cfg = net::IpConfig::parse(value)) {
+        ip_->set_config(std::move(*cfg));
+      }
+      break;
+    case kKeyUdpSockets:
+      if (auto socks = net::UdpEngine::parse_socks(value)) {
+        udp_->restore(*socks);
+      }
+      break;
+    case kKeyTcpListeners:
+      if (auto recs = net::TcpEngine::parse_listeners(value)) {
+        for (const auto& rec : *recs) tcp_->restore_listener(rec);
+      }
+      break;
+    case kKeyPfRules:
+      if (auto rules = net::PfEngine::parse_rules(value); rules && pf_) {
+        pf_->set_rules(std::move(*rules));
+      }
+      break;
+    default:
+      break;
+  }
+  if (--restore_replies_expected_ == 0) announce(true);
 }
 
 void StackServer::handle_sock_request(
@@ -324,6 +344,10 @@ void StackServer::handle_sock_request(
   r.opcode = kSockReply;
   r.req_id = m.req_id;
   r.socket = m.socket;
+  // The same state changes the split transports store on: the listener set
+  // and the UDP socket table, so a crash of this server restores them.
+  bool listeners_changed = false;
+  bool udp_changed = false;
   if (proto == 'T') {
     switch (m.opcode) {
       case kSockOpen:
@@ -339,6 +363,7 @@ void StackServer::handle_sock_request(
         break;
       case kSockListen:
         r.arg0 = tcp_->listen(m.socket, static_cast<int>(m.arg0)) ? 1 : 0;
+        listeners_changed = true;
         break;
       case kSockConnect:
         r.arg0 = tcp_->connect(m.socket,
@@ -351,6 +376,7 @@ void StackServer::handle_sock_request(
         r.arg0 = tcp_->send(m.socket, m.ptr) ? 1 : 0;
         break;
       case kSockClose:
+        listeners_changed = tcp_->is_listener(m.socket);
         r.arg0 = tcp_->close(m.socket) ? 1 : 0;
         break;
       default:
@@ -361,6 +387,7 @@ void StackServer::handle_sock_request(
       case kSockOpen:
         r.arg0 = udp_->open();
         r.socket = static_cast<std::uint32_t>(r.arg0);
+        udp_changed = true;
         break;
       case kSockBind:
         r.arg0 = udp_->bind(m.socket,
@@ -368,6 +395,7 @@ void StackServer::handle_sock_request(
                             static_cast<std::uint16_t>(m.arg1))
                      ? 1
                      : 0;
+        udp_changed = true;
         break;
       case kSockConnect:
         r.arg0 = udp_->connect(m.socket,
@@ -375,24 +403,32 @@ void StackServer::handle_sock_request(
                                static_cast<std::uint16_t>(m.arg1))
                      ? 1
                      : 0;
+        udp_changed = true;
         break;
-      case kSockSendTo:
+      case kSockSendTo: {
         charge(ctx, sim().costs().udp_packet_proc);
+        // sendto on an unbound socket auto-binds an ephemeral port.
+        const auto before = udp_->record(m.socket);
         r.arg0 = udp_->sendto(m.socket, m.ptr,
                               net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
                               static_cast<std::uint16_t>(m.arg1))
                      ? 1
                      : 0;
+        udp_changed = before && before->lport == 0;
         break;
+      }
       case kSockClose:
         udp_->close(m.socket);
         r.arg0 = 1;
+        udp_changed = true;
         break;
       default:
         r.arg0 = 0;
     }
   }
   reply(r);
+  if (listeners_changed) store_tcp_listeners(ctx);
+  if (udp_changed) store_udp_sockets(ctx);
 }
 
 void StackServer::on_message(const std::string& from, const chan::Message& m,
@@ -433,51 +469,9 @@ void StackServer::on_message(const std::string& from, const chan::Message& m,
         if (tcp_) tcp_->on_path_restored();
       }
       return;
-    case kStoreAck:
-      request_db().complete(m.req_id);
-      return;
-    case kStoreReply: {
-      std::uint64_t key = 0;
-      if (!request_db().complete(m.req_id, &key)) return;
-      if (m.arg0 != 0) {
-        auto bytes = env().pools->read(m.ptr);
-        switch (key) {
-          case kKeyIpConfig:
-            if (auto cfg = net::IpConfig::parse(bytes)) {
-              ip_->set_config(std::move(*cfg));
-            }
-            break;
-          case kKeyUdpSockets:
-            if (auto socks = net::UdpEngine::parse_socks(bytes)) {
-              udp_->restore(*socks);
-            }
-            break;
-          case kKeyTcpListeners:
-            if (auto recs = net::TcpEngine::parse_listeners(bytes)) {
-              for (const auto& rec : *recs) tcp_->restore_listener(rec);
-            }
-            break;
-          case kKeyPfRules:
-            if (pf_) {
-              if (auto rules = net::PfEngine::parse_rules(bytes)) {
-                pf_->set_rules(std::move(*rules));
-              }
-            }
-            break;
-          default:
-            break;
-        }
-        chan::Message rel;
-        rel.opcode = kStoreRelease;
-        rel.ptr = m.ptr;
-        send_to(kStoreName, rel, ctx);
-      }
-      if (--restore_replies_expected_ == 0) announce(true);
-      return;
-    }
     case kSockBatch: {
       // A packed submission-queue flush, possibly mixing TCP and UDP ops.
-      const auto ops = parse_sock_batch(env().pools->read(m.ptr));
+      const auto ops = parse_records<WireSockOp>(env().pools->read(m.ptr));
       run_sock_batch(ops, [&, this](char proto, const chan::Message& sm,
                                     const auto& note_open) {
         handle_sock_request(proto, sm, ctx,
@@ -510,9 +504,7 @@ void StackServer::on_peer_up(const std::string& peer, bool restarted,
       if (ip_) ip_->resubmit_tx(ifindex);
     }
     post_rx_buffers(ifindex, ctx);
-    return;
   }
-  if (peer == kStoreName && restarted) store_state(ctx);
 }
 
 }  // namespace newtos::servers

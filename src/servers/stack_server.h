@@ -38,8 +38,6 @@ class StackServer : public Server {
     bool use_pf = true;
     bool csum_offload = true;
     bool inline_drivers = false;
-    int rx_buffers_per_nic = 96;
-    std::uint32_t rx_buf_size = 2048;
   };
 
   // `nics` is indexed by position in cfg.ifindexes; only used when
@@ -67,6 +65,11 @@ class StackServer : public Server {
   void on_peer_up(const std::string& peer, bool restarted,
                   sim::Context& ctx) override;
   void on_killed() override;
+  // The IP configuration, the UDP socket table, the TCP listener set and
+  // the PF rules; established TCP connections are not recoverable.
+  void store_state(sim::Context& ctx) override;
+  void on_stored(std::uint32_t key, std::span<const std::byte> value,
+                 sim::Context& ctx) override;
 
  private:
   // l4 cookies are tagged so IP completions route to the right engine.
@@ -75,9 +78,8 @@ class StackServer : public Server {
   void build_engines();
   void install_inline_nic_handlers();
   void post_rx_buffers(int ifindex, sim::Context& ctx);
-  void store_state(sim::Context& ctx);
-  void save_one(std::uint32_t key, const std::vector<std::byte>& bytes,
-                sim::Context& ctx);
+  void store_tcp_listeners(sim::Context& ctx);
+  void store_udp_sockets(sim::Context& ctx);
   static int ifindex_of(const std::string& driver);
   drv::SimNic* nic_of(int ifindex);
 

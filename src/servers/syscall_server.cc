@@ -112,7 +112,7 @@ void SyscallServer::forward_batch(std::vector<BatchOp> ops,
       wire.push_back(sock_op_from_message(ops[i].proto, fwd));
     }
     if (wire.empty()) continue;
-    chan::RichPtr chunk = pack_sock_batch(*pool_, wire);
+    chan::RichPtr chunk = pack_records<WireSockOp>(*pool_, wire);
     bool sent = chunk.valid();
     if (sent) {
       chan::Message m;

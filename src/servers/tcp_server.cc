@@ -18,10 +18,10 @@ void TcpServer::build_writer() {
   CheckpointWriter::Env we;
   we.pool = pool_;
   we.pools = env().pools;
-  we.send_store = [this](const chan::Message& m, sim::Context& ctx) {
-    return send_to(kStoreName, m, ctx);
+  we.store_put = [this](std::uint32_t key, std::span<const std::byte> value,
+                        sim::Context& ctx) {
+    return store_put(key, value, *pool_, ctx);
   };
-  we.new_store_req = [this] { return request_db().add(kStoreName, 0, {}); };
   we.defer = [this](std::function<void(sim::Context&)> fn) {
     post_control(std::move(fn), 100);
   };
@@ -108,24 +108,10 @@ void TcpServer::on_killed() {
   fastpath_.reset();  // held frames (pending PF verdicts) back to the pool
   drop_engine(engine_);
   tx_descs_.clear();
-  store_gets_.clear();
   ckpt_pending_ = 0;
   ckpt_socks_seen_.clear();
   ckpt_fetch_queue_.clear();
   ckpt_inflight_ = 0;
-}
-
-bool TcpServer::store_get(std::uint32_t key, sim::Context& ctx) {
-  chan::Message m;
-  m.opcode = kStoreGet;
-  m.arg0 = key;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  if (!send_to(kStoreName, m, ctx)) {
-    request_db().complete(m.req_id);
-    return false;
-  }
-  store_gets_[m.req_id] = key;
-  return true;
 }
 
 void TcpServer::pump_ckpt_fetches(sim::Context& ctx) {
@@ -139,8 +125,7 @@ void TcpServer::pump_ckpt_fetches(sim::Context& ctx) {
   }
 }
 
-void TcpServer::finish_restore(sim::Context& ctx) {
-  (void)ctx;
+void TcpServer::finish_restore() {
   ckpt_socks_seen_.clear();
   ckpt_fetch_queue_.clear();
   ckpt_inflight_ = 0;
@@ -150,7 +135,15 @@ void TcpServer::finish_restore(sim::Context& ctx) {
 
 void TcpServer::save_listeners(sim::Context& ctx) {
   store_put(kKeyTcpListeners,
-            net::TcpEngine::serialize_listeners(engine_->listeners()), ctx);
+            net::TcpEngine::serialize_listeners(engine_->listeners()), *pool_,
+            ctx);
+}
+
+void TcpServer::store_state(sim::Context& ctx) {
+  // The listener set AND the whole checkpoint namespace, so a later TCP
+  // crash still finds its pages.
+  save_listeners(ctx);
+  if (writer_) writer_->store_all(ctx);
 }
 
 void TcpServer::replicate_listener(const net::TcpEngine::ListenRec& rec,
@@ -281,44 +274,25 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
     case kShardRepClose:
       engine_->close(m.socket);
       return;
-    case kStoreReply: {
-      if (!request_db().complete(m.req_id)) return;
-      auto git = store_gets_.find(m.req_id);
-      const std::uint32_t key =
-          git == store_gets_.end() ? kKeyTcpListeners : git->second;
-      if (git != store_gets_.end()) store_gets_.erase(git);
-      handle_store_reply(key, m, ctx);
-      if (m.arg0 != 0) {
-        chan::Message rel;
-        rel.opcode = kStoreRelease;
-        rel.ptr = m.ptr;
-        send_to(kStoreName, rel, ctx);
-      }
-      return;
-    }
     default:
       TransportServer::on_message(from, m, ctx);
       return;
   }
 }
 
-void TcpServer::handle_store_reply(std::uint32_t key, const chan::Message& m,
-                                   sim::Context& ctx) {
-  const bool found = m.arg0 != 0;
+void TcpServer::on_stored(std::uint32_t key, std::span<const std::byte> value,
+                          sim::Context& ctx) {
   if (key == kKeyTcpListeners) {
-    if (found) {
-      auto recs = net::TcpEngine::parse_listeners(env().pools->read(m.ptr));
-      if (recs) {
-        // "TCP can only restore listening sockets since they do not have
-        // any frequently changing state" (Section V-D).  Only HOME
-        // listeners restore from storage: replica records are re-seeded
-        // by the siblings on announce, which also reconciles listeners
-        // that were closed while this replica was down (a stored replica
-        // record could otherwise resurrect a dead port).
-        for (const auto& rec : *recs) {
-          if (shard_count_ == 1 || net::sock_shard(rec.id) == shard_)
-            engine_->restore_listener(rec);
-        }
+    if (auto recs = net::TcpEngine::parse_listeners(value)) {
+      // "TCP can only restore listening sockets since they do not have any
+      // frequently changing state" (Section V-D).  Only HOME listeners
+      // restore from storage: replica records are re-seeded by the
+      // siblings on announce, which also reconciles listeners that were
+      // closed while this replica was down (a stored replica record could
+      // otherwise resurrect a dead port).
+      for (const auto& rec : *recs) {
+        if (shard_count_ == 1 || net::sock_shard(rec.id) == shard_)
+          engine_->restore_listener(rec);
       }
     }
     // Listeners first (restored connections may reference their parent),
@@ -334,24 +308,21 @@ void TcpServer::handle_store_reply(std::uint32_t key, const chan::Message& m,
     // ckpt_pending_ like record fetches do; the head fetch was issued by
     // the listener branch and is not counted.
     if (key != kKeyTcpCkptDir) --ckpt_pending_;
-    if (found) {
-      const auto page = CheckpointWriter::parse_dir(env().pools->read(m.ptr));
-      if (page) {
-        for (const std::uint32_t sock : page->socks) {
-          // A partially-flushed chain can list a sock on two pages (fresh
-          // head pointing at a stale tail): fetch each record only once.
-          // Fetches are windowed (pump_ckpt_fetches): a full directory
-          // page would otherwise burst 1024 gets at a 256-slot queue.
-          if (!ckpt_socks_seen_.insert(sock).second) continue;
-          ckpt_fetch_queue_.push_back(ckpt_record_key(sock));
-          ++ckpt_pending_;
-        }
-        if (page->next_key != 0 && store_get(page->next_key, ctx))
-          ++ckpt_pending_;
+    if (const auto page = CheckpointWriter::parse_dir(value)) {
+      for (const std::uint32_t sock : page->socks) {
+        // A partially-flushed chain can list a sock on two pages (fresh
+        // head pointing at a stale tail): fetch each record only once.
+        // Fetches are windowed (pump_ckpt_fetches): a full directory page
+        // would otherwise burst 1024 gets at a 256-slot queue.
+        if (!ckpt_socks_seen_.insert(sock).second) continue;
+        ckpt_fetch_queue_.push_back(ckpt_record_key(sock));
+        ++ckpt_pending_;
       }
+      if (page->next_key != 0 && store_get(page->next_key, ctx))
+        ++ckpt_pending_;
     }
     pump_ckpt_fetches(ctx);
-    if (ckpt_pending_ == 0) finish_restore(ctx);
+    if (ckpt_pending_ == 0) finish_restore();
     return;
   }
   if (key >= kKeyTcpCkptRecBase) {
@@ -362,24 +333,23 @@ void TcpServer::handle_store_reply(std::uint32_t key, const chan::Message& m,
     // range (records are namespaced per replica, so they are always ours).
     std::uint32_t sock = key - kKeyTcpCkptRecBase;
     if (shard_count_ > 1) sock |= net::sock_shard_base(shard_);
+    // Records are only fetched with checkpointing on, so writer_ exists.
     bool restored = false;
-    if (found && writer_) {
-      auto rec = CheckpointWriter::parse_record(env().pools->read(m.ptr));
-      if (rec && rec->sock == sock) {
-        auto conn = writer_->load_page(*rec);
-        if (conn && engine_->restore_conn(*conn)) {
-          writer_->adopt(*rec);
-          restored = true;
-        }
+    auto rec = CheckpointWriter::parse_record(value);
+    if (rec && rec->sock == sock) {
+      auto conn = writer_->load_page(*rec);
+      if (conn && engine_->restore_conn(*conn)) {
+        writer_->adopt(*rec);
+        restored = true;
       }
     }
-    if (!restored && writer_) {
+    if (!restored) {
       // The record or its page did not survive (storage lost it, page
       // stale, tuple collision): the connection is gone — sweep whatever
       // its borrower still parked so nothing strands.
       writer_->reclaim_orphan(sock);
     }
-    if (ckpt_pending_ == 0) finish_restore(ctx);
+    if (ckpt_pending_ == 0) finish_restore();
     return;
   }
 }
@@ -392,13 +362,6 @@ void TcpServer::on_peer_up(const std::string& peer, bool restarted,
     // recover the original bitrate (Section V-D "IP", Figure 4).
     release_in_flight(pool_, tx_descs_);
     if (engine_) engine_->on_ip_restart();
-    return;
-  }
-  if (peer == kStoreName && restarted) {
-    // Storage came back empty: re-store the listener set AND the whole
-    // checkpoint namespace, so a later TCP crash still finds its pages.
-    save_listeners(ctx);
-    if (writer_) writer_->store_all(ctx);
     return;
   }
   if (is_sibling(peer) && engine_) {

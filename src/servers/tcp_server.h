@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -84,6 +83,12 @@ class TcpServer : public TransportServer {
   std::vector<net::PfStateKey> connection_keys() const override {
     return engine_->connection_keys();
   }
+  // The listener set and the checkpoint journal.
+  void store_state(sim::Context& ctx) override;
+  // One step of the restart sequence: the listener set, then (checkpointing
+  // on) each directory page and each connection record.
+  void on_stored(std::uint32_t key, std::span<const std::byte> value,
+                 sim::Context& ctx) override;
 
  private:
   void build_writer();
@@ -97,21 +102,15 @@ class TcpServer : public TransportServer {
                           sim::Context& ctx, const std::string* only = nullptr);
 
   // --- checkpoint restore (restart with TcpOptions::checkpoint on) ----------------
-  // Issues a kStoreGet and remembers which key the reply answers.
-  bool store_get(std::uint32_t key, sim::Context& ctx);
-  void handle_store_reply(std::uint32_t key, const chan::Message& m,
-                          sim::Context& ctx);
   // All records fetched (or none existed): resync the restored connections
   // and open for business.
-  void finish_restore(sim::Context& ctx);
+  void finish_restore();
 
   net::TcpOptions opts_;
   std::unique_ptr<CheckpointWriter> writer_;  // before engine_: outlives it
   std::unique_ptr<net::TcpEngine> engine_;
   // kIpTx descriptors in flight; freed on kIpTxDone or IP restart.
   std::unordered_map<std::uint64_t, chan::RichPtr> tx_descs_;
-  // In-flight kStoreGet requests of the restart sequence (req -> key).
-  std::map<std::uint64_t, std::uint32_t> store_gets_;
   int ckpt_pending_ = 0;  // record/dir-page fetches still outstanding
   // Socks whose records were already requested during this restore: a
   // partially-flushed directory chain may list one on two pages.

@@ -107,22 +107,6 @@ void TransportServer::replicate_close(std::uint32_t s, sim::Context& ctx) {
   send_to_all(siblings_, m, ctx);
 }
 
-void TransportServer::store_put(std::uint32_t key,
-                                const std::vector<std::byte>& bytes,
-                                sim::Context& ctx) {
-  chan::RichPtr chunk =
-      pool_->alloc(static_cast<std::uint32_t>(bytes.size()));
-  if (!chunk.valid()) return;
-  auto view = pool_->write_view(chunk);
-  std::copy(bytes.begin(), bytes.end(), view.begin());
-  chan::Message m;
-  m.opcode = kStorePut;
-  m.arg0 = key;
-  m.req_id = request_db().add(kStoreName, 0, {});
-  m.ptr = chunk;
-  if (!send_to(kStoreName, m, ctx)) pool_->release(chunk);
-}
-
 void TransportServer::on_message(const std::string& from,
                                  const chan::Message& m, sim::Context& ctx) {
   switch (m.opcode) {
@@ -197,11 +181,8 @@ void TransportServer::on_message(const std::string& from,
       send_to(from, r, ctx);
       return;
     }
-    case kStoreRelease:
+    case kStoreRelease:  // PF is done with our kConnListReply chunk
       pool_->release(m.ptr);
-      return;
-    case kStoreAck:
-      request_db().complete(m.req_id);
       return;
     case kWorkProbe: {
       // The reincarnation server's end-to-end probe: a silently wedged
@@ -235,7 +216,7 @@ void TransportServer::on_message(const std::string& from,
     }
     case kSockBatch: {
       // One channel message carries a whole submission-queue flush.
-      const auto ops = parse_sock_batch(env().pools->read(m.ptr));
+      const auto ops = parse_records<WireSockOp>(env().pools->read(m.ptr));
       run_sock_batch(ops, [&, this](char, const chan::Message& sm,
                                     const auto& note_open) {
         handle_sock_request(sm, ctx, [&, this](const chan::Message& r) {

@@ -5,7 +5,7 @@
 // to IP, the RSS fast path (the drivers post a queue's frames straight to
 // its home replica as kDrvRxFast, which runs the hoisted IP receive work of
 // src/net/ip_fastpath.h on its own core), the supervision probe echo, PF's
-// connection-list rebuild, storage acks and socket control.
+// connection-list rebuild and socket control.
 #pragma once
 
 #include <cstddef>
@@ -95,9 +95,6 @@ class TransportServer : public Server {
   bool is_sibling(const std::string& peer) const;
   // Tells every sibling replica that the replicated socket `s` is gone.
   void replicate_close(std::uint32_t s, sim::Context& ctx);
-  // Copies `bytes` into the staging pool and stores them under `key`.
-  void store_put(std::uint32_t key, const std::vector<std::byte>& bytes,
-                 sim::Context& ctx);
 
   // The messages both protocols handle alike.  A subclass handles its own
   // opcodes and passes every other one here.

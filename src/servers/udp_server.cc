@@ -48,11 +48,7 @@ void UdpServer::start(bool restart) {
   build_fastpath();
   if (restart) {
     post_control([this](sim::Context& ctx) {
-      chan::Message m;
-      m.opcode = kStoreGet;
-      m.arg0 = kKeyUdpSockets;
-      m.req_id = request_db().add(kStoreName, 0, {});
-      if (!send_to(kStoreName, m, ctx)) announce(true);
+      if (!store_get(kKeyUdpSockets, ctx)) announce(true);
     });
   } else {
     post_control([this](sim::Context&) { announce(false); });
@@ -68,9 +64,24 @@ void UdpServer::on_killed() {
   pending_tx_.clear();
 }
 
-void UdpServer::save_sockets(sim::Context& ctx) {
+void UdpServer::store_state(sim::Context& ctx) {
   store_put(kKeyUdpSockets,
-            net::UdpEngine::serialize_socks(engine_->snapshot()), ctx);
+            net::UdpEngine::serialize_socks(engine_->snapshot()), *pool_, ctx);
+}
+
+void UdpServer::on_stored(std::uint32_t, std::span<const std::byte> value,
+                          sim::Context&) {
+  if (auto socks = net::UdpEngine::parse_socks(value)) {
+    // Only HOME sockets restore from storage: replica records are re-seeded
+    // by the siblings on announce, which also reconciles sockets closed
+    // while this replica was down (a stored replica record could otherwise
+    // resurrect a dead socket).
+    for (const auto& rec : *socks) {
+      if (shard_count_ == 1 || net::sock_shard(rec.id) == shard_)
+        engine_->upsert(rec);
+    }
+  }
+  announce(true);
 }
 
 void UdpServer::replicate_sock(net::SockId s, sim::Context& ctx,
@@ -156,7 +167,7 @@ void UdpServer::handle_sock_request(
         replicate_sock(r.socket, ctx);
       }
     }
-    save_sockets(ctx);
+    store_state(ctx);
   }
 }
 
@@ -188,28 +199,6 @@ void UdpServer::on_message(const std::string& from, const chan::Message& m,
     case kShardRepClose:
       engine_->close(m.socket);
       return;
-    case kStoreReply: {
-      if (!request_db().complete(m.req_id)) return;
-      if (m.arg0 != 0) {
-        auto socks = net::UdpEngine::parse_socks(env().pools->read(m.ptr));
-        if (socks) {
-          // Only HOME sockets restore from storage: replica records are
-          // re-seeded by the siblings on announce, which also reconciles
-          // sockets closed while this replica was down (a stored replica
-          // record could otherwise resurrect a dead socket).
-          for (const auto& rec : *socks) {
-            if (shard_count_ == 1 || net::sock_shard(rec.id) == shard_)
-              engine_->upsert(rec);
-          }
-        }
-        chan::Message rel;
-        rel.opcode = kStoreRelease;
-        rel.ptr = m.ptr;
-        send_to(kStoreName, rel, ctx);
-      }
-      announce(true);
-      return;
-    }
     default:
       TransportServer::on_message(from, m, ctx);
       return;
@@ -230,10 +219,6 @@ void UdpServer::on_peer_up(const std::string& peer, bool restarted,
       m.arg1 = net::kProtoUdp;
       send_to(kIpName, m, ctx);
     }
-    return;
-  }
-  if (peer == kStoreName && restarted) {
-    save_sockets(ctx);
     return;
   }
   if (is_sibling(peer) && engine_) {

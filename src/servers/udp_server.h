@@ -51,10 +51,13 @@ class UdpServer : public TransportServer {
   std::vector<net::PfStateKey> connection_keys() const override {
     return engine_->connection_keys();
   }
+  // The socket 4-tuples, stored on every change.
+  void store_state(sim::Context& ctx) override;
+  void on_stored(std::uint32_t key, std::span<const std::byte> value,
+                 sim::Context& ctx) override;
 
  private:
   void build_engine();
-  void save_sockets(sim::Context& ctx);
   // Pushes one socket record to every sibling replica / to one named
   // sibling.
   void replicate_sock(net::SockId s, sim::Context& ctx,

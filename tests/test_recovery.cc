@@ -4,6 +4,9 @@
 // checks the recovery semantics the paper claims for it.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/core/apps.h"
 #include "src/core/fault_injection.h"
 #include "src/core/testbed.h"
@@ -82,6 +85,87 @@ TestbedOptions default_opts() {
   opts.pf_filler_rules = 64;
   return opts;
 }
+
+// Opens and closes a UDP socket, then a TCP listener, then re-applies the
+// PF rule set, `rounds` times in a row.  Every step stores state: three UDP
+// socket-table puts, two listener-set puts and one rule-set put per round.
+struct StateChurn {
+  AppActor* app;
+  servers::PfServer* pf;
+  int rounds;
+  int done = 0;
+  std::unique_ptr<UdpSocket> udp;
+  std::unique_ptr<TcpListener> listener;
+
+  StateChurn(AppActor* a, servers::PfServer* p, int n)
+      : app(a), pf(p), rounds(n) {}
+
+  void start() {
+    app->call([this](sim::Context&) { udp_round(); });
+  }
+  void udp_round() {
+    udp = std::make_unique<UdpSocket>(*app);
+    udp->bind(net::Ipv4Addr{}, 7000, [this](bool) {
+      udp->close([this](bool) { tcp_round(); });
+    });
+  }
+  void tcp_round() {
+    listener = std::make_unique<TcpListener>(*app);
+    listener->bind_listen(net::Ipv4Addr{}, 7001, 16, [this](bool) {
+      listener->close([this](bool) {
+        pf->apply_rules(pf->engine()->rules());
+        if (++done < rounds) udp_round();
+      });
+    });
+  }
+};
+
+// Connects to the peer's bulk receiver, writes exactly `bytes` and closes.
+struct SendAndClose {
+  AppActor* app;
+  net::Ipv4Addr dst;
+  std::uint64_t bytes;
+  static constexpr std::uint32_t kWrite = 8192;
+
+  std::unique_ptr<TcpSocket> sock;
+  std::uint64_t queued = 0;  // bytes whose writes completed ok
+  int outstanding = 0;
+  bool closed = false;
+
+  SendAndClose(AppActor* a, net::Ipv4Addr d, std::uint64_t n)
+      : app(a), dst(d), bytes(n) {}
+
+  void start() {
+    app->call([this](sim::Context&) {
+      sock = std::make_unique<TcpSocket>(*app);
+      sock->on_event([this](net::TcpEvent ev) {
+        if (ev == net::TcpEvent::Connected || ev == net::TcpEvent::Writable)
+          pump();
+      });
+      sock->connect(dst, 5001, [](bool) {});
+    });
+  }
+  void pump() {
+    while (!closed && queued + kWrite * outstanding < bytes &&
+           outstanding < 4 && sock->send_space() >= kWrite) {
+      ++outstanding;
+      sock->send(kWrite, [this](bool ok) {
+        --outstanding;
+        if (ok) {
+          queued += kWrite;
+          pump();
+        } else {  // never executed: retry later
+          app->call_after(10 * sim::kMillisecond,
+                          [this](sim::Context&) { pump(); });
+        }
+      });
+    }
+    if (!closed && queued >= bytes && outstanding == 0) {
+      closed = true;
+      sock->close();
+    }
+  }
+};
 
 }  // namespace
 
@@ -265,4 +349,93 @@ TEST(Recovery, DeviceWedgeClearedByDriverRestart) {
   rig.tb.run_until(8 * sim::kSecond);
   EXPECT_FALSE(rig.tb.newtos().nic(0)->wedged());
   EXPECT_TRUE(rig.ssh.connected());
+}
+
+TEST(Recovery, CombinedStackCrashRestoresState) {
+  // The combined stack stores its listener set and UDP socket table when
+  // they change, as the split transports do, so a crash of the one server
+  // brings back every socket that can be recovered (Table I) along with
+  // the IP configuration and the PF rules.
+  TestbedOptions opts = default_opts();
+  opts.mode = StackMode::kSingleServer;
+  Rig rig(opts);
+  rig.faults.inject_at(2 * sim::kSecond, servers::kStackName,
+                       FaultType::Crash);
+  rig.tb.run_until(4 * sim::kSecond);
+  servers::StackServer* stack = rig.tb.newtos().stack_server();
+  ASSERT_TRUE(stack->ready());
+  EXPECT_EQ(stack->tcp_engine()->listeners().size(), 1u);  // sshd
+  EXPECT_EQ(stack->udp_engine()->snapshot().size(), 1u);   // the resolver
+  EXPECT_EQ(stack->pf_engine()->rules().size(), 65u);
+  EXPECT_EQ(stack->ip_engine()->config().interfaces.size(), 1u);
+
+  const std::uint64_t answered = rig.resolver.answered();
+  rig.tb.run_until(8 * sim::kSecond);
+  // The established connection died with the server; the restored
+  // listener took the reconnect.
+  EXPECT_TRUE(rig.ssh.connected());
+  EXPECT_GE(rig.ssh.reconnects(), 2u);
+  // The restored resolver socket keeps getting answers.
+  EXPECT_GT(rig.resolver.answered(), answered + 10);
+}
+
+TEST(Recovery, StoredValuesReturnTheirChunks) {
+  // Every put copies the value into a chunk of the storing server's pool;
+  // the storage server's ack hands it back.  State that changes over and
+  // over must not grow the pools.
+  {
+    Testbed tb(default_opts());
+    tb.run_until(100 * sim::kMillisecond);
+    chan::PoolRegistry& pools = tb.newtos().pools();
+    auto live = [&pools](const char* name) {
+      return pools.find_by_name(name)->chunks_live();
+    };
+    const std::size_t udp_before = live("newtos/udp.buf");
+    const std::size_t tcp_before = live("newtos/tcp.buf");
+    const std::size_t pf_before = live("newtos/pf.buf");
+
+    constexpr int kRounds = 200;
+    StateChurn churn(tb.newtos().add_app("churn"),
+                     static_cast<servers::PfServer*>(
+                         tb.newtos().server(servers::kPfName)),
+                     kRounds);
+    churn.start();
+    while (churn.done < kRounds && tb.sim().now() < 10 * sim::kSecond) {
+      tb.run_until(tb.sim().now() + 10 * sim::kMillisecond);
+    }
+    ASSERT_EQ(churn.done, kRounds);
+    tb.run_until(tb.sim().now() + 100 * sim::kMillisecond);  // no traffic
+    EXPECT_EQ(live("newtos/udp.buf"), udp_before);
+    EXPECT_EQ(live("newtos/tcp.buf"), tcp_before);
+    EXPECT_EQ(live("newtos/pf.buf"), pf_before);
+  }
+
+  // The checkpoint journal puts a record per connection on every
+  // watermark's worth of progress: none of them may outlive its ack.
+  TestbedOptions opts = default_opts();
+  opts.tcp_checkpoint = true;
+  Testbed tb(opts);
+  AppActor* rx_app = tb.peer().add_app("iperf_rx");
+  apps::BulkReceiver::Config rx_cfg;
+  rx_cfg.record_series = false;
+  apps::BulkReceiver receiver(tb.peer(), rx_app, rx_cfg);
+  receiver.start();
+  constexpr int kConns = 5;
+  constexpr std::uint64_t kBytes = 2u << 20;
+  AppActor* tx_app = tb.newtos().add_app("iperf_tx");
+  std::vector<std::unique_ptr<SendAndClose>> senders;
+  for (int i = 0; i < kConns; ++i) {
+    senders.push_back(std::make_unique<SendAndClose>(
+        tx_app, tb.newtos().peer_addr(0), kBytes));
+    senders.back()->start();
+  }
+  // Transfers and closes take well under a second; then TIME_WAIT expires.
+  tb.run_until(4 * sim::kSecond);
+  for (const auto& s : senders) EXPECT_TRUE(s->closed);
+  EXPECT_EQ(receiver.bytes(), kConns * kBytes);
+  auto* tcp = static_cast<servers::TcpServer*>(
+      tb.newtos().server(servers::kTcpName));
+  EXPECT_GT(tcp->ckpt_puts(), 0u);
+  EXPECT_EQ(tb.newtos().pools().find_by_name("newtos/tcp.buf")->chunks_live(),
+            0u);
 }
