@@ -1,5 +1,6 @@
 #include "src/chan/pool.h"
 
+#include <bit>
 #include <cassert>
 #include <memory>
 #include <utility>
@@ -33,64 +34,85 @@ RichPtr Pool::alloc(std::uint32_t length) {
     }
     offset = bump_;
     bump_ += rounded;
+    chunks_.resize(bump_ >> kGranuleShift);
+    starts_.resize((chunks_.size() + 63) / 64);
   }
 
-  chunks_[offset] = Chunk{length, 1};
+  const std::uint32_t g = offset >> kGranuleShift;
+  chunks_[g] = Chunk{length, 1};
+  starts_[g / 64] |= std::uint64_t{1} << (g % 64);
+  ++chunks_live_;
   bytes_live_ += length;
   ++total_allocs_;
   return RichPtr{id_, offset, length, generation_};
 }
 
+const Pool::Chunk* Pool::chunk_at(std::uint32_t offset) const {
+  const std::size_t g = offset >> kGranuleShift;
+  if (offset % 64 != 0 || g >= chunks_.size() || chunks_[g].refs == 0)
+    return nullptr;
+  return &chunks_[g];
+}
+
 void Pool::addref(const RichPtr& p) {
   if (p.generation != generation_) return;
-  auto it = chunks_.find(p.offset);
-  assert(it != chunks_.end() && "addref on a freed chunk");
-  ++it->second.refs;
+  Chunk* c = chunk_at(p.offset);
+  assert(c != nullptr && "addref on a freed chunk");
+  if (c != nullptr) ++c->refs;
 }
 
 bool Pool::release(const RichPtr& p) {
   if (p.generation != generation_) return false;  // stale: pool was reset
-  auto it = chunks_.find(p.offset);
-  if (it == chunks_.end()) return false;
-  assert(it->second.refs > 0);
-  if (--it->second.refs > 0) return false;
-  bytes_live_ -= it->second.length;
-  free_lists_[round_chunk(it->second.length)].push_back(p.offset);
-  chunks_.erase(it);
+  Chunk* c = chunk_at(p.offset);
+  if (c == nullptr) return false;
+  if (--c->refs > 0) return false;
+  bytes_live_ -= c->length;
+  free_lists_[round_chunk(c->length)].push_back(p.offset);
+  *c = Chunk{};
+  const std::uint32_t g = p.offset >> kGranuleShift;
+  starts_[g / 64] &= ~(std::uint64_t{1} << (g % 64));
+  --chunks_live_;
   return true;
 }
 
 bool Pool::live(const RichPtr& p) const {
   if (p.pool != id_ || p.generation != generation_) return false;
-  auto it = chunks_.find(p.offset);
-  return it != chunks_.end() && it->second.length >= p.length;
+  const Chunk* c = chunk_at(p.offset);
+  return c != nullptr && c->length >= p.length;
 }
 
-std::map<std::uint32_t, Pool::Chunk>::const_iterator Pool::find_containing(
-    const RichPtr& p) const {
+std::optional<std::uint32_t> Pool::find_containing(const RichPtr& p) const {
   if (p.pool != id_ || p.generation != generation_ || !p.valid())
-    return chunks_.end();
-  auto it = chunks_.upper_bound(p.offset);
-  if (it == chunks_.begin()) return chunks_.end();
-  --it;
-  const std::uint64_t base = it->first;
-  const std::uint64_t end = base + it->second.length;
-  if (p.offset < base ||
-      static_cast<std::uint64_t>(p.offset) + p.length > end)
-    return chunks_.end();
-  return it;
+    return std::nullopt;
+  const std::size_t g = p.offset >> kGranuleShift;
+  if (g >= chunks_.size()) return std::nullopt;  // past bump_: no chunk
+  // The nearest chunk start at or below the slice's granule is the only
+  // chunk that can hold it.
+  std::size_t w = g / 64;
+  std::uint64_t bits = starts_[w] & (~std::uint64_t{0} >> (63 - g % 64));
+  while (bits == 0) {
+    if (w == 0) return std::nullopt;
+    bits = starts_[--w];
+  }
+  const std::size_t base_g = w * 64 + 63 - std::countl_zero(bits);
+  const std::uint64_t base = base_g << kGranuleShift;
+  if (static_cast<std::uint64_t>(p.offset) + p.length >
+      base + chunks_[base_g].length)
+    return std::nullopt;
+  return static_cast<std::uint32_t>(base);
 }
 
 RichPtr Pool::containing(const RichPtr& p) const {
-  auto it = find_containing(p);
-  if (it == chunks_.end()) return kNullRichPtr;
-  return RichPtr{id_, it->first, it->second.length, generation_};
+  const auto base = find_containing(p);
+  if (!base) return kNullRichPtr;
+  return RichPtr{id_, *base, chunks_[*base >> kGranuleShift].length,
+                 generation_};
 }
 
 void Pool::note_borrow(const RichPtr& p, std::uint32_t borrower) {
-  auto it = find_containing(p);
-  if (it == chunks_.end()) return;
-  ++ledger_[borrower][it->first];
+  const auto base = find_containing(p);
+  if (!base) return;
+  ++ledger_[borrower][*base];
   ++borrows_outstanding_;
 }
 
@@ -98,9 +120,9 @@ bool Pool::note_return(const RichPtr& p, std::uint32_t borrower) {
   if (p.pool != id_ || p.generation != generation_) return false;
   auto lit = ledger_.find(borrower);
   if (lit == ledger_.end()) return false;
-  auto cit = find_containing(p);
-  if (cit == chunks_.end()) return false;
-  auto eit = lit->second.find(cit->first);
+  const auto base = find_containing(p);
+  if (!base) return false;
+  auto eit = lit->second.find(*base);
   if (eit == lit->second.end()) return false;
   if (--eit->second == 0) lit->second.erase(eit);
   if (lit->second.empty()) ledger_.erase(lit);
@@ -118,9 +140,9 @@ std::size_t Pool::reclaim(std::uint32_t borrower) {
   for (const auto& [offset, count] : loans) {
     borrows_outstanding_ -= count;
     for (std::uint32_t k = 0; k < count; ++k) {
-      auto cit = chunks_.find(offset);
-      if (cit == chunks_.end()) break;  // already gone; nothing stranded
-      release(RichPtr{id_, offset, cit->second.length, generation_});
+      const Chunk* c = chunk_at(offset);
+      if (c == nullptr) break;  // already gone; nothing stranded
+      release(RichPtr{id_, offset, c->length, generation_});
       ++reclaimed;
     }
   }
@@ -149,6 +171,8 @@ std::span<const std::byte> Pool::read_view(const RichPtr& p) const {
 
 void Pool::reset() {
   chunks_.clear();
+  starts_.clear();
+  chunks_live_ = 0;
   free_lists_.clear();
   ledger_.clear();
   borrows_outstanding_ = 0;

@@ -23,15 +23,27 @@
 //    pool (stale generation) becomes a safe no-op — and reclaim() frees
 //    everything a crashed borrower still held, so a loan can never strand
 //    a chunk.
+//
+// Chunk table.  Every chunk starts on a 64-byte granule, so the table keeps
+// one 8-byte {length, refs} entry per granule, indexed by offset >> 6, plus
+// one bit per granule marking where a live chunk starts; containing() scans
+// the bits back from a slice's granule to the nearest chunk start.  Both
+// grow only as the bump high-water mark does: 8 bytes and 1 bit per granule
+// below it, however many chunks are live, and no allocation per chunk.
+// Allocation is LIFO per rounded size, then bump; offsets feed request
+// cookies and the order in which reclaim() walks a ledger, so the policy is
+// part of what keeps runs reproducible.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/chan/rich_ptr.h"
@@ -107,7 +119,7 @@ class Pool {
   void reset();
 
   // Statistics.
-  std::size_t chunks_live() const { return chunks_.size(); }
+  std::size_t chunks_live() const { return chunks_live_; }
   std::size_t bytes_live() const { return bytes_live_; }
   std::uint64_t total_allocs() const { return total_allocs_; }
   std::uint64_t failed_allocs() const { return failed_allocs_; }
@@ -118,10 +130,16 @@ class Pool {
     std::uint32_t refs = 0;
   };
 
+  static constexpr unsigned kGranuleShift = 6;  // 64-byte chunk granules
+
   static std::uint32_t round_chunk(std::uint32_t len);
-  // Iterator to the live chunk containing `p`, or chunks_.end().
-  std::map<std::uint32_t, Chunk>::const_iterator find_containing(
-      const RichPtr& p) const;
+  // The live chunk starting exactly at `offset`, or null.
+  const Chunk* chunk_at(std::uint32_t offset) const;
+  Chunk* chunk_at(std::uint32_t offset) {
+    return const_cast<Chunk*>(std::as_const(*this).chunk_at(offset));
+  }
+  // Base offset of the live chunk containing `p`.
+  std::optional<std::uint32_t> find_containing(const RichPtr& p) const;
 
   std::uint32_t id_;
   std::string name_;
@@ -129,9 +147,11 @@ class Pool {
   std::uint32_t generation_ = 1;
 
   std::uint32_t bump_ = 0;  // high-water mark for fresh allocations
-  // offset -> live chunk metadata, ordered so sub-ranges resolve to their
-  // containing chunk
-  std::map<std::uint32_t, Chunk> chunks_;
+  // offset >> 6 -> chunk metadata; an entry with refs == 0 is no chunk
+  std::vector<Chunk> chunks_;
+  // one bit per granule, set where a live chunk starts
+  std::vector<std::uint64_t> starts_;
+  std::size_t chunks_live_ = 0;
   // rounded size -> reusable offsets (simple segregated free lists)
   std::map<std::uint32_t, std::vector<std::uint32_t>> free_lists_;
 

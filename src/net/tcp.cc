@@ -1535,12 +1535,12 @@ std::string TcpEngine::debug(SockId s) const {
       buf, sizeof buf,
       "sock %u %s una=%u nxt=%u buf_end=%u hw=%u cwnd=%u ssthresh=%u "
       "rwnd=%u dup=%u rec=%d sndq=%zu(%u B) rcv_nxt=%u rcvq=%u B rto=%lldms "
-      "timer=%llu",
+      "rto_timer=%s",
       s, to_string(c->state), c->snd_una, c->snd_nxt, c->snd_buf_end,
       c->high_water, c->cwnd, c->ssthresh, c->snd_wnd, c->dup_acks,
       c->in_recovery ? 1 : 0, c->sndq.size(), c->sndq_bytes, c->rcv_nxt,
       c->rcvq_bytes, static_cast<long long>(c->rto / sim::kMillisecond),
-      static_cast<unsigned long long>(c->rto_timer));
+      c->rto_timer != 0 ? "armed" : "idle");
   return buf;
 }
 

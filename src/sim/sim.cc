@@ -24,16 +24,23 @@ void SimCore::schedule_next() {
     return;
   }
   running_ = true;
-  Pending next = std::move(tasks_.front());
-  tasks_.pop_front();
   const Time start =
-      std::max({next.earliest, sim_.now(), free_at_});
-  sim_.at(start, [this, start, task = std::move(next.task)]() mutable {
+      std::max({tasks_.front().earliest, sim_.now(), free_at_});
+  current_ = std::move(tasks_.front().task);
+  tasks_.pop_front();
+  // Capturing only [this, start] keeps the event inside std::function's
+  // inline buffer; the task waits in current_.
+  sim_.at(start, [this, start] {
+    CoreTask task = std::move(current_);
     Context ctx(sim_, *this, start);
     task(ctx);
     busy_cycles_ += ctx.charged();
     ++tasks_run_;
     free_at_ = start + sim_.costs().cycles_to_time(ctx.charged());
+    // A busy core is handed over by a second event at free_at_, not by
+    // posting the next start event now: the start event then takes its
+    // place in the submission order at free_at_, behind what was queued
+    // for that instant.
     if (free_at_ > sim_.now()) {
       sim_.at(free_at_, [this] { schedule_next(); });
     } else {

@@ -85,6 +85,7 @@ class SimCore {
     CoreTask task;
   };
   std::deque<Pending> tasks_;
+  CoreTask current_;  // popped, waiting for its start event
   bool running_ = false;
   Time free_at_ = 0;
   Cycles busy_cycles_ = 0;

@@ -2,7 +2,11 @@
 // pools with rich pointers, request database, registry and channel manager.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/chan/channel.h"
@@ -10,6 +14,7 @@
 #include "src/chan/registry.h"
 #include "src/chan/request_db.h"
 #include "src/chan/spsc_ring.h"
+#include "src/sim/rng.h"
 
 using namespace newtos::chan;
 
@@ -172,6 +177,266 @@ TEST(Pool, DmaWriteRespectsBounds) {
   EXPECT_FALSE(pool.dma_write(p, big));
   pool.reset();
   EXPECT_FALSE(pool.dma_write(p, small));  // stale generation
+}
+
+// The chunk table as a std::map from chunk offset to {length, refs}, with the
+// same allocation policy (LIFO free lists per rounded size, then bump) and
+// the same loan ledger: the reference Pool must match operation by
+// operation, offsets included.
+class MapPool {
+ public:
+  MapPool(std::uint32_t id, std::size_t size) : id_(id), size_(size) {}
+
+  RichPtr alloc(std::uint32_t length) {
+    const std::uint32_t rounded = (length + 63u) & ~63u;
+    std::uint32_t offset;
+    auto it = free_lists_.find(rounded);
+    if (it != free_lists_.end() && !it->second.empty()) {
+      offset = it->second.back();
+      it->second.pop_back();
+    } else {
+      if (bump_ + rounded > size_) return kNullRichPtr;
+      offset = bump_;
+      bump_ += rounded;
+    }
+    chunks_[offset] = Chunk{length, 1};
+    bytes_live_ += length;
+    return RichPtr{id_, offset, length, generation_};
+  }
+
+  void addref(const RichPtr& p) { ++chunks_.at(p.offset).refs; }
+
+  bool release(const RichPtr& p) {
+    if (p.generation != generation_) return false;
+    auto it = chunks_.find(p.offset);
+    if (it == chunks_.end()) return false;
+    if (--it->second.refs > 0) return false;
+    bytes_live_ -= it->second.length;
+    free_lists_[(it->second.length + 63u) & ~63u].push_back(p.offset);
+    chunks_.erase(it);
+    return true;
+  }
+
+  bool live(const RichPtr& p) const {
+    if (p.pool != id_ || p.generation != generation_) return false;
+    auto it = chunks_.find(p.offset);
+    return it != chunks_.end() && it->second.length >= p.length;
+  }
+
+  RichPtr containing(const RichPtr& p) const {
+    if (p.pool != id_ || p.generation != generation_ || !p.valid())
+      return kNullRichPtr;
+    auto it = chunks_.upper_bound(p.offset);
+    if (it == chunks_.begin()) return kNullRichPtr;
+    --it;
+    if (std::uint64_t{p.offset} + p.length >
+        std::uint64_t{it->first} + it->second.length)
+      return kNullRichPtr;
+    return RichPtr{id_, it->first, it->second.length, generation_};
+  }
+
+  void note_borrow(const RichPtr& p, std::uint32_t borrower) {
+    const RichPtr c = containing(p);
+    if (!c.valid()) return;
+    ++ledger_[borrower][c.offset];
+    ++borrows_outstanding_;
+  }
+
+  bool note_return(const RichPtr& p, std::uint32_t borrower) {
+    if (p.pool != id_ || p.generation != generation_) return false;
+    auto lit = ledger_.find(borrower);
+    if (lit == ledger_.end()) return false;
+    const RichPtr c = containing(p);
+    if (!c.valid()) return false;
+    auto eit = lit->second.find(c.offset);
+    if (eit == lit->second.end()) return false;
+    if (--eit->second == 0) lit->second.erase(eit);
+    if (lit->second.empty()) ledger_.erase(lit);
+    --borrows_outstanding_;
+    return true;
+  }
+
+  std::size_t reclaim(std::uint32_t borrower) {
+    auto lit = ledger_.find(borrower);
+    if (lit == ledger_.end()) return 0;
+    auto loans = std::move(lit->second);
+    ledger_.erase(lit);
+    std::size_t reclaimed = 0;
+    for (const auto& [offset, count] : loans) {
+      borrows_outstanding_ -= count;
+      for (std::uint32_t k = 0; k < count; ++k) {
+        auto cit = chunks_.find(offset);
+        if (cit == chunks_.end()) break;
+        release(RichPtr{id_, offset, cit->second.length, generation_});
+        ++reclaimed;
+      }
+    }
+    return reclaimed;
+  }
+
+  void reset() {
+    chunks_.clear();
+    free_lists_.clear();
+    ledger_.clear();
+    borrows_outstanding_ = 0;
+    bump_ = 0;
+    bytes_live_ = 0;
+    ++generation_;
+  }
+
+  std::uint32_t bump() const { return bump_; }
+  std::size_t chunks_live() const { return chunks_.size(); }
+  std::size_t bytes_live() const { return bytes_live_; }
+  std::size_t borrows_outstanding() const { return borrows_outstanding_; }
+
+ private:
+  struct Chunk {
+    std::uint32_t length;
+    std::uint32_t refs;
+  };
+  std::uint32_t id_;
+  std::size_t size_;
+  std::uint32_t generation_ = 1;
+  std::uint32_t bump_ = 0;
+  std::map<std::uint32_t, Chunk> chunks_;
+  std::map<std::uint32_t, std::vector<std::uint32_t>> free_lists_;
+  std::unordered_map<std::uint32_t,
+                     std::unordered_map<std::uint32_t, std::uint32_t>>
+      ledger_;
+  std::size_t borrows_outstanding_ = 0;
+  std::size_t bytes_live_ = 0;
+};
+
+TEST(Pool, MatchesMapReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    newtos::sim::Rng rng(seed);
+    PoolRegistry reg;
+    Pool& pool = reg.create("t", "p", 4 << 20);
+    MapPool ref(pool.id(), pool.size());
+    std::vector<RichPtr> held;  // one entry per reference the test owns
+    std::unordered_map<std::uint32_t, std::vector<RichPtr>> lent;
+    std::size_t reclaimed = 0;
+
+    // A slice inside `c`: never empty, never past its end.
+    auto slice_of = [&](const RichPtr& c) {
+      const auto off = static_cast<std::uint32_t>(rng.below(c.length));
+      const auto len =
+          static_cast<std::uint32_t>(1 + rng.below(c.length - off));
+      return RichPtr{c.pool, c.offset + off, len, c.generation};
+    };
+    auto take = [&](std::vector<RichPtr>& v) {
+      const std::size_t i = rng.below(v.size());
+      const RichPtr p = v[i];
+      v[i] = v.back();
+      v.pop_back();
+      return p;
+    };
+    // An arbitrary probe: inside a chunk, across its end, past bump_ or in
+    // a freed gap.
+    auto probe = [&]() {
+      RichPtr p{pool.id(), 0, 0, pool.generation()};
+      if (!held.empty() && rng.chance(0.5)) {
+        p = slice_of(held[rng.below(held.size())]);
+        if (rng.chance(0.3)) p.length += 1 + rng.below(200);
+      } else {
+        p.offset = static_cast<std::uint32_t>(rng.below(ref.bump() + 4096));
+        p.length = static_cast<std::uint32_t>(1 + rng.below(300));
+      }
+      return p;
+    };
+
+    for (int op = 0; op < 20000 && !HasFailure(); ++op) {
+      switch (rng.below(12)) {
+        case 0:
+        case 1:
+        case 2: {
+          const auto len = static_cast<std::uint32_t>(
+              rng.chance(0.8) ? 1 + rng.below(2048) : 1 + rng.below(70000));
+          const RichPtr p = pool.alloc(len);
+          ASSERT_EQ(p, ref.alloc(len));
+          if (p.valid()) held.push_back(p);
+          break;
+        }
+        case 3:
+          if (held.empty()) break;
+          held.push_back(held[rng.below(held.size())]);
+          pool.addref(held.back());
+          ref.addref(held.back());
+          break;
+        case 4:
+        case 5:
+          if (held.empty()) break;
+          {
+            const RichPtr p = take(held);
+            ASSERT_EQ(pool.release(p), ref.release(p));
+          }
+          break;
+        case 6:
+          if (held.empty()) break;
+          {
+            const RichPtr s = slice_of(take(held));
+            const RichPtr c = ref.containing(s);
+            if (c.valid()) ref.release(c);
+            ASSERT_EQ(reg.release(s), c.valid());
+          }
+          break;
+        case 7:
+          if (held.empty()) break;
+          {
+            const auto b = static_cast<std::uint32_t>(1 + rng.below(3));
+            const RichPtr p = take(held);
+            const RichPtr s = slice_of(p);
+            pool.note_borrow(s, b);
+            ref.note_borrow(s, b);
+            lent[b].push_back(p);
+          }
+          break;
+        case 8: {
+          const auto b = static_cast<std::uint32_t>(1 + rng.below(3));
+          // A recorded loan, or a bogus return the ledger must refuse.
+          const bool real = !lent[b].empty() && rng.chance(0.8);
+          const RichPtr s = real ? slice_of(take(lent[b])) : probe();
+          const bool ok = pool.note_return(s, b);
+          ASSERT_EQ(ok, ref.note_return(s, b));
+          if (ok) {
+            const RichPtr c = pool.containing(s);
+            ASSERT_EQ(pool.release(c), ref.release(c));
+          }
+          break;
+        }
+        case 9: {
+          const auto b = static_cast<std::uint32_t>(1 + rng.below(3));
+          const std::size_t n = pool.reclaim(b);
+          ASSERT_EQ(n, ref.reclaim(b));
+          reclaimed += n;
+          lent.erase(b);
+          break;
+        }
+        case 10:
+          if (rng.chance(0.01)) {
+            pool.reset();
+            ref.reset();
+            held.clear();
+            lent.clear();
+          }
+          break;
+        default:
+          break;
+      }
+      for (int k = 0; k < 3; ++k) {
+        const RichPtr p = probe();
+        ASSERT_EQ(pool.containing(p), ref.containing(p));
+        ASSERT_EQ(pool.live(p), ref.live(p));
+      }
+      ASSERT_EQ(pool.chunks_live(), ref.chunks_live());
+      ASSERT_EQ(pool.bytes_live(), ref.bytes_live());
+      ASSERT_EQ(pool.borrows_outstanding(), ref.borrows_outstanding());
+    }
+    // The run covered exhaustion and crash reclaim.
+    EXPECT_GT(pool.failed_allocs(), 0u);
+    EXPECT_GT(reclaimed, 0u);
+  }
 }
 
 // --- Queue + doorbell ---------------------------------------------------------------------

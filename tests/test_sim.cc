@@ -1,6 +1,10 @@
 // Unit tests: discrete-event simulator (event queue, cores, cost model).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -58,6 +62,165 @@ TEST(EventQueue, EventsMayScheduleMoreEvents) {
   while (q.pop_and_run()) {
   }
   EXPECT_EQ(count, 5);
+}
+
+// Drives an EventQueue and a reference model side by side: the reference is
+// an ordered set of (time, submission index), which is the queue's contract.
+// Pushes land on a few distinct times so ties are common; cancels hit live,
+// fired, cancelled and reused-slot ids; callbacks push, cancel other events
+// and cancel themselves.
+class EventQueueModel {
+ public:
+  explicit EventQueueModel(std::uint64_t seed) : rng_(seed) {}
+
+  void step() {
+    switch (rng_.below(8)) {
+      case 0:
+      case 1:
+      case 2:
+        push();
+        break;
+      case 3:
+        if (!ref_.empty()) cancel(live_at(rng_.below(ref_.size())));
+        break;
+      case 4:
+        if (!subs_.empty()) cancel(rng_.below(subs_.size()));
+        break;
+      case 5:
+        cancel_reused_slot();
+        break;
+      default:
+        pop();
+    }
+    check();
+  }
+
+  void drain() {
+    while (!ref_.empty() && !::testing::Test::HasFailure()) pop();
+    EXPECT_FALSE(q_.pop_and_run());
+    check();
+  }
+
+  std::uint64_t ties() const { return ties_; }
+  std::uint64_t self_cancels() const { return self_cancels_; }
+  std::uint64_t reused_slot_cancels() const { return reused_slot_cancels_; }
+
+ private:
+  struct Submission {
+    Time t;
+    EventId id;
+  };
+
+  void push() {
+    const std::uint64_t k = subs_.size();
+    const Time t = now_ + static_cast<Time>(rng_.below(4));
+    const EventId id = q_.push(t, [this, k] { fire(k); });
+    EXPECT_NE(id, 0u);
+    subs_.push_back({t, id});
+    ref_.emplace(t, k);
+  }
+
+  // Cancels submission k; the reference says whether it is still pending.
+  bool cancel(std::uint64_t k) {
+    const bool pending = ref_.erase({subs_[k].t, k}) == 1;
+    EXPECT_EQ(q_.cancel(subs_[k].id), pending) << "submission " << k;
+    if (pending) retire(k);
+    return pending;
+  }
+
+  // Cancels a dead id whose slot now holds a pending event.
+  void cancel_reused_slot() {
+    if (ref_.empty()) return;
+    const std::uint64_t k = live_at(rng_.below(ref_.size()));
+    const auto it = retired_.find(static_cast<std::uint32_t>(subs_[k].id));
+    if (it == retired_.end()) return;
+    const std::uint64_t dead = it->second[rng_.below(it->second.size())];
+    EXPECT_NE(subs_[dead].id, subs_[k].id);
+    EXPECT_FALSE(cancel(dead));
+    ++reused_slot_cancels_;
+  }
+
+  void pop() {
+    if (ref_.empty()) {
+      EXPECT_FALSE(q_.pop_and_run());
+      return;
+    }
+    const auto [t, k] = *ref_.begin();
+    ref_.erase(ref_.begin());
+    if (t == now_ && fired_any_) ++ties_;
+    now_ = t;
+    fired_any_ = true;
+    retire(k);
+    expected_ = k;
+    EXPECT_TRUE(q_.pop_and_run());
+    EXPECT_EQ(expected_, kNone) << "submission " << k << " did not fire";
+  }
+
+  void fire(std::uint64_t k) {
+    EXPECT_EQ(k, expected_) << "fired out of order";
+    expected_ = kNone;
+    check();
+    switch (rng_.below(4)) {
+      case 0:
+        push();
+        push();
+        break;
+      case 1:
+        cancel(rng_.below(subs_.size()));
+        break;
+      case 2:
+        EXPECT_FALSE(cancel(k));  // firing: no longer cancellable
+        ++self_cancels_;
+        break;
+      default:
+        break;
+    }
+  }
+
+  void retire(std::uint64_t k) {
+    retired_[static_cast<std::uint32_t>(subs_[k].id)].push_back(k);
+  }
+
+  std::uint64_t live_at(std::uint64_t i) const {
+    return std::next(ref_.begin(), static_cast<std::ptrdiff_t>(i))->second;
+  }
+
+  void check() const {
+    EXPECT_EQ(q_.size(), ref_.size());
+    EXPECT_EQ(q_.empty(), ref_.empty());
+    if (!ref_.empty()) {
+      EXPECT_EQ(q_.next_time(), ref_.begin()->first);
+    }
+  }
+
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  Rng rng_;
+  EventQueue q_;
+  std::set<std::pair<Time, std::uint64_t>> ref_;  // pending submissions
+  std::vector<Submission> subs_;                   // by submission index
+  // slot (low 32 bits of an id) -> submissions that died in it
+  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> retired_;
+  Time now_ = 0;
+  bool fired_any_ = false;
+  std::uint64_t expected_ = kNone;
+  std::uint64_t ties_ = 0;
+  std::uint64_t self_cancels_ = 0;
+  std::uint64_t reused_slot_cancels_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    EventQueueModel model(seed);
+    for (int op = 0; op < 5000 && !HasFailure(); ++op) model.step();
+    model.drain();
+    // The run covered what the model is for.
+    EXPECT_GT(model.ties(), 0u);
+    EXPECT_GT(model.self_cancels(), 0u);
+    EXPECT_GT(model.reused_slot_cancels(), 0u);
+    if (HasFailure()) break;
+  }
 }
 
 TEST(Simulator, TimeAdvancesMonotonically) {
