@@ -1,7 +1,7 @@
 # Reruns one deterministic program and compares what it produced with its
 # golden copy in this directory, byte for byte.
 #
-#   cmake -DPROGRAM=<exe> -DGOLDEN=<golden file> -DWORKDIR=<scratch dir>
+#   cmake -DPROGRAM=<exe> -DGOLDEN=<golden file> -DWORKDIR=<work dir>
 #         [-DOUTPUT=<file the program writes>] -P check.cmake
 #
 # Without OUTPUT the program's stdout is compared.  A deliberate change of

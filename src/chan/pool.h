@@ -30,9 +30,9 @@
 // the bits back from a slice's granule to the nearest chunk start.  Both
 // grow only as the bump high-water mark does: 8 bytes and 1 bit per granule
 // below it, however many chunks are live, and no allocation per chunk.
-// Allocation is LIFO per rounded size, then bump; offsets feed request
-// cookies and the order in which reclaim() walks a ledger, so the policy is
-// part of what keeps runs reproducible.
+// Allocation is LIFO per rounded size, then bump; offsets decide the order
+// in which reclaim() walks a ledger, so the policy is part of what keeps
+// runs reproducible.
 #pragma once
 
 #include <cstddef>

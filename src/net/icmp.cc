@@ -57,11 +57,9 @@ void IpEngine::handle_icmp(int ifindex, const chan::RichPtr& frame,
   seg.src = ip_hdr.dst;
   seg.dst = ip_hdr.src;
   seg.protocol = kProtoIcmp;
-  // Internal request: completion routes through finish_l4(), which releases
-  // the reply chunk instead of notifying a transport server.
-  const std::uint64_t cookie = next_cookie_++;
-  internal_inflight_.emplace(cookie, reply);
-  output(std::move(seg), kInternalCookieBase + cookie);
+  // IP's own request: nobody is told when it is done, and IP frees the
+  // reply chunk itself (once it is copied into the frame, or dropped).
+  output(std::move(seg), L4Req{L4Req::kIp});
 }
 
 }  // namespace newtos::net

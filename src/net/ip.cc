@@ -115,30 +115,21 @@ std::optional<std::pair<int, Ipv4Addr>> IpEngine::route(Ipv4Addr dst) const {
   return std::make_pair(best->ifindex, hop);
 }
 
-void IpEngine::finish_l4(std::uint64_t l4_cookie, bool sent) {
-  (void)sent;
-  if (l4_cookie >= kInternalCookieBase) {
-    auto it = internal_inflight_.find(l4_cookie - kInternalCookieBase);
-    if (it != internal_inflight_.end()) {
-      env_.hdr_pool->release(it->second);
-      internal_inflight_.erase(it);
-    }
-    return;
+void IpEngine::drop_seg(TxSeg&& seg, const L4Req& req) {
+  // Payload refs are owned by L4's sndbuf; dropping here loses nothing.
+  if (req.peer == L4Req::kIp) {
+    env_.hdr_pool->release(seg.l4_header);  // our own ICMP reply
+  } else if (env_.seg_done) {
+    env_.seg_done(req, false);
   }
-  if (env_.seg_done) env_.seg_done(l4_cookie, sent);
 }
 
-void IpEngine::drop_seg(TxSeg&& seg, std::uint64_t l4_cookie) {
-  (void)seg;  // refs are owned by L4's sndbuf; dropping here loses nothing
-  finish_l4(l4_cookie, false);
-}
-
-void IpEngine::output(TxSeg&& seg, std::uint64_t l4_cookie) {
+void IpEngine::output(TxSeg&& seg, const L4Req& req) {
   ++stats_.tx_segs;
   auto hop = route(seg.dst);
   if (!hop) {
     ++stats_.dropped_no_route;
-    drop_seg(std::move(seg), l4_cookie);
+    drop_seg(std::move(seg), req);
     return;
   }
   const auto [ifindex, next_hop] = *hop;
@@ -159,36 +150,33 @@ void IpEngine::output(TxSeg&& seg, std::uint64_t l4_cookie) {
         q.tcp_flags = std::to_integer<std::uint8_t>(hdr[13]);
       }
     }
-    const std::uint64_t cookie = next_cookie_++;
     PendingPf pending;
     pending.query = q;
     pending.outbound = true;
     pending.seg = std::move(seg);
-    pending.l4_cookie = l4_cookie;
+    pending.req = req;
     pending.ifindex = ifindex;
     // Remember the resolved hop in ip_hdr.dst (reused field).
     pending.ip_hdr.dst = next_hop;
-    pf_pending_.emplace(cookie, std::move(pending));
-    env_.pf_check(q, cookie);
+    env_.pf_check(q, pf_pending_.add(std::move(pending)));
     return;
   }
-  continue_output(std::move(seg), l4_cookie, ifindex, next_hop);
+  continue_output(std::move(seg), req, ifindex, next_hop);
 }
 
 void IpEngine::pf_verdict(std::uint64_t cookie, bool allow) {
-  auto it = pf_pending_.find(cookie);
-  if (it == pf_pending_.end()) return;  // stale verdict from before a crash
-  PendingPf pending = std::move(it->second);
-  pf_pending_.erase(it);
+  auto rec = pf_pending_.take(cookie);
+  if (!rec) return;  // stale verdict from before a crash
+  PendingPf& pending = *rec;
 
   if (pending.outbound) {
     if (!allow) {
       ++stats_.dropped_pf;
-      drop_seg(std::move(pending.seg), pending.l4_cookie);
+      drop_seg(std::move(pending.seg), pending.req);
       return;
     }
-    continue_output(std::move(pending.seg), pending.l4_cookie,
-                    pending.ifindex, pending.ip_hdr.dst);
+    continue_output(std::move(pending.seg), pending.req, pending.ifindex,
+                    pending.ip_hdr.dst);
   } else if (pending.is_agg) {
     if (!allow) {
       drop_agg(std::move(pending.agg));
@@ -208,18 +196,19 @@ void IpEngine::pf_verdict(std::uint64_t cookie, bool allow) {
 
 std::size_t IpEngine::resubmit_pf_pending() {
   std::size_t n = 0;
-  for (auto& [cookie, pending] : pf_pending_) {
-    env_.pf_check(pending.query, cookie);
+  pf_pending_.for_each([&](std::uint64_t cookie, const PendingPf& pending) {
+    const PfQuery q = pending.query;  // an in-process filter answers at once
+    env_.pf_check(q, cookie);
     ++n;
-  }
+  });
   return n;
 }
 
-void IpEngine::continue_output(TxSeg&& seg, std::uint64_t l4_cookie,
-                               int ifindex, Ipv4Addr next_hop) {
+void IpEngine::continue_output(TxSeg&& seg, const L4Req& req, int ifindex,
+                               Ipv4Addr next_hop) {
   const Interface* ifp = iface(ifindex);
   if (ifp == nullptr) {
-    drop_seg(std::move(seg), l4_cookie);
+    drop_seg(std::move(seg), req);
     return;
   }
   auto mac = arp_.lookup(ifindex, next_hop, ifp->addr, ifp->mac);
@@ -230,12 +219,12 @@ void IpEngine::continue_output(TxSeg&& seg, std::uint64_t l4_cookie,
       ++stats_.dropped_arp_timeout;
       AwaitingArp old = std::move(q.front());
       q.pop_front();
-      drop_seg(std::move(old.seg), old.l4_cookie);
+      drop_seg(std::move(old.seg), old.req);
     }
-    q.push_back(AwaitingArp{std::move(seg), l4_cookie, ifindex});
+    q.push_back(AwaitingArp{std::move(seg), req, ifindex});
     return;
   }
-  transmit(std::move(seg), l4_cookie, ifindex, *mac);
+  transmit(std::move(seg), req, ifindex, *mac);
 }
 
 void IpEngine::arp_resolved(int ifindex, Ipv4Addr ip, MacAddr mac) {
@@ -244,10 +233,10 @@ void IpEngine::arp_resolved(int ifindex, Ipv4Addr ip, MacAddr mac) {
   if (it == arp_waiting_.end()) return;
   std::deque<AwaitingArp> waiting = std::move(it->second);
   arp_waiting_.erase(it);
-  for (auto& w : waiting) transmit(std::move(w.seg), w.l4_cookie, w.ifindex, mac);
+  for (auto& w : waiting) transmit(std::move(w.seg), w.req, w.ifindex, mac);
 }
 
-void IpEngine::transmit(TxSeg&& seg, std::uint64_t l4_cookie, int ifindex,
+void IpEngine::transmit(TxSeg&& seg, const L4Req& req, int ifindex,
                         MacAddr dst_mac) {
   const Interface* ifp = iface(ifindex);
   assert(ifp != nullptr);
@@ -259,7 +248,7 @@ void IpEngine::transmit(TxSeg&& seg, std::uint64_t l4_cookie, int ifindex,
       kEthHeaderLen + kIpHeaderLen + l4_hdr.size());
   chan::RichPtr frame_hdr = env_.hdr_pool->alloc(hdr_len);
   if (!frame_hdr.valid()) {
-    drop_seg(std::move(seg), l4_cookie);  // pool exhausted: drop (Section IV-A)
+    drop_seg(std::move(seg), req);  // pool exhausted: drop (Section IV-A)
     return;
   }
   auto view = env_.hdr_pool->write_view(frame_hdr);
@@ -316,32 +305,44 @@ void IpEngine::transmit(TxSeg&& seg, std::uint64_t l4_cookie, int ifindex,
   frame.payload = std::move(seg.payload);
   frame.offload = seg.offload;
   frame.offload.csum_offload = env_.csum_offload;
+  // The frame header now holds a copy of our own ICMP reply: like an ARP
+  // frame's, the record keeps nothing else of IP's.
+  if (req.peer == L4Req::kIp) env_.hdr_pool->release(seg.l4_header);
 
-  const std::uint64_t cookie = next_cookie_++;
-  tx_pending_.emplace(cookie,
-                      PendingTx{l4_cookie, false, frame_hdr, ifindex, frame});
   ++stats_.tx_frames;
-  env_.send_frame(ifindex, std::move(frame), cookie);
+  send_frame(ifindex, std::move(frame), req);
+}
+
+void IpEngine::send_frame(int ifindex, TxFrame&& frame, const L4Req& req) {
+  const std::uint64_t cookie =
+      tx_pending_.add(PendingTx{req, ifindex, std::move(frame), {}});
+  const chan::RichPtr desc =
+      env_.send_frame(ifindex, tx_pending_.find(cookie)->frame, cookie);
+  if (PendingTx* p = tx_pending_.find(cookie)) p->desc = desc;
 }
 
 std::size_t IpEngine::resubmit_tx(int ifindex) {
   std::size_t n = 0;
-  for (auto& [cookie, pending] : tx_pending_) {
-    if (pending.ifindex != ifindex) continue;
-    TxFrame copy = pending.frame;
-    env_.send_frame(ifindex, std::move(copy), cookie);
+  tx_pending_.for_each([&](std::uint64_t cookie, PendingTx& pending) {
+    if (pending.ifindex != ifindex) return;
+    // The crashed driver dropped its descriptor with its rings.
+    const chan::RichPtr old = pending.desc;
+    const chan::RichPtr desc =
+        env_.send_frame(ifindex, pending.frame, cookie);
+    if (old.valid()) env_.hdr_pool->release(old);
+    if (PendingTx* p = tx_pending_.find(cookie)) p->desc = desc;
     ++n;
-  }
+  });
   return n;
 }
 
 void IpEngine::tx_done(std::uint64_t cookie, bool ok) {
-  auto it = tx_pending_.find(cookie);
-  if (it == tx_pending_.end()) return;  // stale ack from before a restart
-  PendingTx pending = std::move(it->second);
-  tx_pending_.erase(it);
-  env_.hdr_pool->release(pending.frame_hdr);
-  if (!pending.internal) finish_l4(pending.l4_cookie, ok);
+  auto pending = tx_pending_.take(cookie);
+  if (!pending) return;  // stale ack from before a restart
+  if (pending->desc.valid()) env_.hdr_pool->release(pending->desc);
+  env_.hdr_pool->release(pending->frame.header);
+  if (pending->req.peer != L4Req::kIp && env_.seg_done)
+    env_.seg_done(pending->req, ok);
 }
 
 chan::RichPtr IpEngine::alloc_rx_buffer(std::uint32_t len) {
@@ -370,10 +371,8 @@ void IpEngine::send_arp_frame(int ifindex, const ArpPacket& pkt) {
 
   TxFrame frame;
   frame.header = hdr;
-  const std::uint64_t cookie = next_cookie_++;
-  tx_pending_.emplace(cookie, PendingTx{0, true, hdr, ifindex, frame});
   ++stats_.tx_frames;
-  env_.send_frame(ifindex, std::move(frame), cookie);
+  send_frame(ifindex, std::move(frame), L4Req{L4Req::kIp});
 }
 
 void IpEngine::input(int ifindex, chan::RichPtr frame) {
@@ -443,7 +442,6 @@ void IpEngine::input(int ifindex, chan::RichPtr frame) {
     if (ip->protocol == kProtoTcp && bytes.size() >= l4_offset + 14u) {
       q.tcp_flags = std::to_integer<std::uint8_t>(bytes[l4_offset + 13]);
     }
-    const std::uint64_t cookie = next_cookie_++;
     PendingPf pending;
     pending.query = q;
     pending.outbound = false;
@@ -452,8 +450,7 @@ void IpEngine::input(int ifindex, chan::RichPtr frame) {
     pending.l4_offset = l4_offset;
     pending.l4_length = l4_length;
     pending.ip_hdr = *ip;
-    pf_pending_.emplace(cookie, std::move(pending));
-    env_.pf_check(q, cookie);
+    env_.pf_check(q, pf_pending_.add(std::move(pending)));
     return;
   }
   deliver_inbound(ifindex, frame, *ip, l4_offset, l4_length);
@@ -519,15 +516,13 @@ void IpEngine::input_burst(int ifindex,
     q.sport = agg.sport;
     q.dport = agg.dport;
     q.tcp_flags = tcp_flags;
-    const std::uint64_t cookie = next_cookie_++;
     PendingPf pending;
     pending.query = q;
     pending.outbound = false;
     pending.ifindex = ifindex;
     pending.is_agg = true;
     pending.agg = std::move(agg);
-    pf_pending_.emplace(cookie, std::move(pending));
-    queries.emplace_back(q, cookie);
+    queries.emplace_back(q, pf_pending_.add(std::move(pending)));
   };
   auto on_frame = [&](const chan::RichPtr& frame) {
     flush_queries();

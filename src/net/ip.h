@@ -4,9 +4,9 @@
 // IP is the only component that talks to drivers (Section V, Figure 3).  For
 // every packet it hands work to another component three times: to PF for the
 // verdict, to the driver for transmission, and (on receive) up to TCP/UDP.
-// All hand-offs are asynchronous; IP keeps pending packets in internal
-// tables keyed by cookies and the hosting server maps those cookies onto
-// its request database.
+// All hand-offs are asynchronous: IP records each packet it hands to PF or
+// a driver in a chan::RequestDb, whose ids are the cookies, with everything
+// a completion or a resend needs.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/chan/pool.h"
+#include "src/chan/request_db.h"
 #include "src/net/addr.h"
 #include "src/net/arp.h"
 #include "src/net/env.h"
@@ -74,6 +75,16 @@ struct L4AggPacket {
   std::uint16_t dport = 0;
 };
 
+// The transport request an outbound segment belongs to, handed back
+// through seg_done: the host's name for the transport (`peer`) and that
+// transport's own request id.  IP's own ICMP replies carry kIp: nobody is
+// told, and IP frees the reply chunk itself.
+struct L4Req {
+  static constexpr std::uint32_t kIp = ~std::uint32_t{0};
+  std::uint32_t peer = 0;
+  std::uint64_t id = 0;
+};
+
 class IpEngine {
  public:
   struct Env {
@@ -84,8 +95,11 @@ class IpEngine {
     chan::Pool* rx_pool = nullptr;   // IP-owned: drivers DMA received frames here
 
     // Hand a frame to the driver of `ifindex`.  The driver answers through
-    // tx_done(cookie, ok).
-    std::function<void(int ifindex, TxFrame&&, std::uint64_t cookie)>
+    // tx_done(cookie, ok); `frame` is valid during the call only.  Returns
+    // the descriptor the host packed in hdr_pool, which the engine frees
+    // with the frame, or an invalid pointer when nothing is left to free.
+    std::function<chan::RichPtr(int ifindex, const TxFrame&,
+                                std::uint64_t cookie)>
         send_frame;
     // Ask the packet filter.  The verdict arrives via pf_verdict(cookie).
     // May be empty: no filter configured, everything passes.
@@ -101,9 +115,9 @@ class IpEngine {
     std::function<void(
         std::span<const std::pair<PfQuery, std::uint64_t>>)>
         pf_check_batch;
-    // Completion towards L4: the segment with `l4_cookie` was transmitted
-    // (or dropped, sent=false).  Only after this may L4 free its header.
-    std::function<void(std::uint64_t l4_cookie, bool sent)> seg_done;
+    // Completion towards L4: the segment of `req` was transmitted (or
+    // dropped, sent=false).  Only after this may L4 free its header.
+    std::function<void(const L4Req& req, bool sent)> seg_done;
 
     bool csum_offload = true;  // NIC finishes L4 checksums on TX
   };
@@ -127,7 +141,7 @@ class IpEngine {
   // --- L4 -> IP ----------------------------------------------------------------
   // Takes ownership of seg.l4_header (freed back to its owner by seg_done)
   // and of the payload refs for the duration of transmission.
-  void output(TxSeg&& seg, std::uint64_t l4_cookie);
+  void output(TxSeg&& seg, const L4Req& req);
 
   // --- driver -> IP ------------------------------------------------------------
   void input(int ifindex, chan::RichPtr frame);
@@ -141,12 +155,13 @@ class IpEngine {
 
   // --- PF -> IP ------------------------------------------------------------------
   void pf_verdict(std::uint64_t cookie, bool allow);
-  // After a PF crash: resubmit every unanswered query (no packet is ever
-  // lost across a PF restart, Section V-D).  Returns how many were resent.
+  // When PF (re)announces: send every unanswered query again, oldest first
+  // (no packet is ever lost across a PF restart, Section V-D).  Returns how
+  // many were sent.
   std::size_t resubmit_pf_pending();
   // After a driver crash: the acks for in-flight frames will never arrive;
-  // IP prefers duplicates over losses and resubmits them (Section V-D,
-  // "Drivers").  Returns how many frames were resent.
+  // IP prefers duplicates over losses and resubmits them, oldest first
+  // (Section V-D, "Drivers").  Returns how many frames were resent.
   std::size_t resubmit_tx(int ifindex);
 
   // --- L4 -> IP (receive-pool bookkeeping) --------------------------------------
@@ -167,18 +182,17 @@ class IpEngine {
 
  private:
   struct PendingTx {   // waiting for the driver's transmit ack
-    std::uint64_t l4_cookie = 0;
-    bool internal = false;        // ICMP/ARP replies: no L4 to notify
-    chan::RichPtr frame_hdr;      // chunk to free on completion
+    L4Req req;                    // kIp for ARP and ICMP: nobody to notify
     int ifindex = 0;
-    TxFrame frame;                // kept for resubmission after driver crash
+    TxFrame frame;                // header is IP's; kept for resubmission
+    chan::RichPtr desc;           // the host's descriptor for the driver
   };
   struct PendingPf {   // waiting for a PF verdict
     PfQuery query;
     bool outbound = false;
     // outbound:
     TxSeg seg;
-    std::uint64_t l4_cookie = 0;
+    L4Req req;
     // inbound:
     int ifindex = 0;
     chan::RichPtr frame;
@@ -191,21 +205,17 @@ class IpEngine {
   };
   struct AwaitingArp {  // routed, allowed, waiting for next-hop MAC
     TxSeg seg;
-    std::uint64_t l4_cookie = 0;
+    L4Req req;
     int ifindex = 0;
   };
 
-  // Internal TX requests (ICMP replies) are distinguished from L4 cookies by
-  // this bit; completion then frees the IP-owned chunk instead of calling up.
-  static constexpr std::uint64_t kInternalCookieBase = std::uint64_t{1} << 62;
-
   std::optional<std::pair<int, Ipv4Addr>> route(Ipv4Addr dst) const;
   const Interface* iface(int ifindex) const;
-  void finish_l4(std::uint64_t l4_cookie, bool sent);
-  void continue_output(TxSeg&& seg, std::uint64_t l4_cookie, int ifindex,
+  void continue_output(TxSeg&& seg, const L4Req& req, int ifindex,
                        Ipv4Addr next_hop);
-  void transmit(TxSeg&& seg, std::uint64_t l4_cookie, int ifindex,
-                MacAddr dst_mac);
+  void transmit(TxSeg&& seg, const L4Req& req, int ifindex, MacAddr dst_mac);
+  // Hands a frame to the host under a fresh transmit record.
+  void send_frame(int ifindex, TxFrame&& frame, const L4Req& req);
   void deliver_inbound(int ifindex, chan::RichPtr frame,
                        const Ipv4Header& ip_hdr, std::uint16_t l4_offset,
                        std::uint16_t l4_length);
@@ -216,7 +226,7 @@ class IpEngine {
                    std::uint16_t l4_length);
   void send_arp_frame(int ifindex, const ArpPacket& pkt);
   void arp_resolved(int ifindex, Ipv4Addr ip, MacAddr mac);
-  void drop_seg(TxSeg&& seg, std::uint64_t l4_cookie);
+  void drop_seg(TxSeg&& seg, const L4Req& req);
 
   Env env_;
   IpConfig cfg_;
@@ -224,11 +234,9 @@ class IpEngine {
   Stats stats_;
 
   std::uint16_t next_ip_id_ = 1;
-  std::uint64_t next_cookie_ = 1;
-  std::unordered_map<std::uint64_t, PendingTx> tx_pending_;
-  std::unordered_map<std::uint64_t, PendingPf> pf_pending_;
+  chan::RequestDb<PendingTx> tx_pending_;
+  chan::RequestDb<PendingPf> pf_pending_;
   std::unordered_map<std::uint32_t, std::deque<AwaitingArp>> arp_waiting_;
-  std::unordered_map<std::uint64_t, chan::RichPtr> internal_inflight_;
 };
 
 }  // namespace newtos::net

@@ -136,13 +136,11 @@ void IpFastPath::judge(const FlowKey& key, const PfQuery& q, HeldItem&& item) {
     run_item(key, std::move(item), cit->second);
     return;
   }
-  const std::uint64_t cookie = next_cookie_++;
+  const std::uint64_t cookie = queries_.add(key);
   PendingFlow pending;
-  pending.cookie = cookie;
   pending.query = q;
   pending.held.push_back(std::move(item));
   pf_pending_.emplace(key, std::move(pending));
-  cookie_flow_.emplace(cookie, key);
   ++stats_.pf_queries;
   env_.pf_check(q, cookie);
 }
@@ -240,12 +238,11 @@ void IpFastPath::input_burst(int ifindex,
 }
 
 void IpFastPath::pf_verdict(std::uint64_t cookie, bool allow) {
-  auto cf = cookie_flow_.find(cookie);
-  if (cf == cookie_flow_.end()) return;  // stale (PF crashed and came back)
-  const FlowKey key = cf->second;
-  cookie_flow_.erase(cf);
+  const auto flow = queries_.take(cookie);
+  if (!flow) return;  // stale (PF crashed and came back)
+  const FlowKey key = *flow;
   auto pit = pf_pending_.find(key);
-  if (pit == pf_pending_.end() || pit->second.cookie != cookie) return;
+  if (pit == pf_pending_.end()) return;
   PendingFlow pending = std::move(pit->second);
   pf_pending_.erase(pit);
   // Cache pass AND block: an established flow skips the round trip, and a
@@ -258,10 +255,10 @@ void IpFastPath::pf_verdict(std::uint64_t cookie, bool allow) {
 std::size_t IpFastPath::resubmit_pf() {
   std::size_t n = 0;
   if (!env_.pf_check) return n;
-  for (const auto& [key, pending] : pf_pending_) {
-    env_.pf_check(pending.query, pending.cookie);
+  queries_.for_each([&](std::uint64_t cookie, const FlowKey& key) {
+    env_.pf_check(pf_pending_.at(key).query, cookie);
     ++n;
-  }
+  });
   return n;
 }
 
@@ -283,7 +280,7 @@ void IpFastPath::release_all() {
     }
   }
   pf_pending_.clear();
-  cookie_flow_.clear();
+  queries_.clear();
   verdict_cache_.clear();
 }
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/chan/pool.h"
+#include "src/chan/request_db.h"
 #include "src/net/ip.h"
 #include "src/net/pf.h"
 
@@ -88,7 +89,7 @@ class IpFastPath {
   // verdict is stale.
   void invalidate_cache() { verdict_cache_.clear(); }
 
-  // PF restarted and lost our unanswered queries: repeat them.
+  // PF (re)announced: send every unanswered query, oldest first.
   std::size_t resubmit_pf();
 
   // Teardown (replica killed): release every held frame back to the receive
@@ -124,7 +125,6 @@ class IpFastPath {
   };
 
   struct PendingFlow {
-    std::uint64_t cookie = 0;
     PfQuery query;
     std::deque<HeldItem> held;
   };
@@ -140,10 +140,11 @@ class IpFastPath {
   Env env_;
   Config cfg_;
   Stats stats_;
-  std::uint64_t next_cookie_ = 1;
   std::unordered_map<FlowKey, bool, FlowKeyHash> verdict_cache_;
   std::unordered_map<FlowKey, PendingFlow, FlowKeyHash> pf_pending_;
-  std::unordered_map<std::uint64_t, FlowKey> cookie_flow_;
+  // The flow each unanswered query judges (one per pf_pending_ entry); its
+  // id is the query's cookie.
+  chan::RequestDb<FlowKey> queries_;
 };
 
 }  // namespace newtos::net

@@ -39,7 +39,11 @@ TcpEngine::~TcpEngine() {
     for (auto& rc : c.rcvq) env_.rx_done(rc.frame);
     for (auto& [seq, rc] : c.ooo) env_.rx_done(rc.frame);
   }
-  for (auto& [cookie, hdr] : hdr_inflight_) env_.buf_pool->release(hdr);
+  // The host's descriptors may still sit in IP's queue, which outlives a
+  // crashed host: they leak, bounded per crash.
+  inflight_.for_each([this](std::uint64_t, const InFlight& f) {
+    env_.buf_pool->release(f.hdr);
+  });
 }
 
 void TcpEngine::release_payload(const chan::RichPtr& p) {
@@ -503,8 +507,7 @@ void TcpEngine::send_segment(Conn& c, std::uint32_t seq, std::uint32_t len,
     assert(remaining == 0 && "send range not covered by sndq");
   }
 
-  const std::uint64_t cookie = next_cookie_++;
-  hdr_inflight_.emplace(cookie, hdr);
+  const std::uint64_t cookie = inflight_.add(InFlight{hdr, {}});
   ++stats_.segs_out;
   if (flags & tcpflag::kAck) ++stats_.acks_out;
   if (retransmission) {
@@ -524,7 +527,17 @@ void TcpEngine::send_segment(Conn& c, std::uint32_t seq, std::uint32_t len,
     env_.timers->cancel(c.ack_timer);
     c.ack_timer = 0;
   }
-  env_.output(std::move(seg), cookie);
+  output(std::move(seg), cookie);
+}
+
+void TcpEngine::output(TxSeg&& seg, std::uint64_t cookie) {
+  const chan::RichPtr desc = env_.output(std::move(seg), cookie);
+  if (InFlight* f = inflight_.find(cookie)) f->desc = desc;
+}
+
+void TcpEngine::free_in_flight(const InFlight& f) {
+  if (f.desc.valid()) env_.buf_pool->release(f.desc);
+  env_.buf_pool->release(f.hdr);
 }
 
 void TcpEngine::send_ack(Conn& c) {
@@ -553,25 +566,23 @@ void TcpEngine::send_rst(Ipv4Addr src, Ipv4Addr dst, std::uint16_t sport,
   seg.src = src;
   seg.dst = dst;
   seg.protocol = kProtoTcp;
-  const std::uint64_t cookie = next_cookie_++;
-  hdr_inflight_.emplace(cookie, hdr);
+  const std::uint64_t cookie = inflight_.add(InFlight{hdr, {}});
   ++stats_.resets_out;
   ++stats_.segs_out;
-  env_.output(std::move(seg), cookie);
+  output(std::move(seg), cookie);
 }
 
 void TcpEngine::seg_done(std::uint64_t cookie, bool sent) {
   (void)sent;  // data loss is repaired by retransmission
-  auto it = hdr_inflight_.find(cookie);
-  if (it == hdr_inflight_.end()) return;  // stale (pre-crash) completion
-  env_.buf_pool->release(it->second);
-  hdr_inflight_.erase(it);
+  // A stale completion, from before an IP restart, finds nothing.
+  if (auto f = inflight_.take(cookie)) free_in_flight(*f);
 }
 
 void TcpEngine::on_ip_restart() {
-  // Completions for in-flight headers will never arrive: free them all.
-  for (auto& [cookie, hdr] : hdr_inflight_) env_.buf_pool->release(hdr);
-  hdr_inflight_.clear();
+  // Completions for in-flight segments will never arrive: free their
+  // headers and descriptors, oldest first.
+  inflight_.abort_if([](const InFlight&) { return true; },
+                     [this](std::uint64_t, InFlight&& f) { free_in_flight(f); });
   // Resubmit: anything not ACKed may or may not have reached the wire.  We
   // prefer duplicates over RTO stalls (Section V-D "IP"): go back to
   // snd_una and retransmit immediately.

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/chan/pool.h"
+#include "src/chan/request_db.h"
 #include "src/net/cc/congestion.h"
 #include "src/net/env.h"
 #include "src/net/ip.h"
@@ -184,8 +185,11 @@ class TcpEngine {
     TimerService* timers = nullptr;
     chan::PoolRegistry* pools = nullptr;
     chan::Pool* buf_pool = nullptr;  // TCP-owned: headers + send payload
-    std::function<void(TxSeg&&, std::uint64_t cookie)> output;  // to IP
-    std::function<void(const chan::RichPtr&)> rx_done;          // to IP
+    // Hands a segment to IP; `cookie` comes back through seg_done.  Returns
+    // the descriptor the host packed in buf_pool, which the engine frees
+    // with the header, or an invalid pointer when nothing is left to free.
+    std::function<chan::RichPtr(TxSeg&&, std::uint64_t cookie)> output;
+    std::function<void(const chan::RichPtr&)> rx_done;  // to IP
     std::function<void(SockId, TcpEvent)> notify;
     std::function<Ipv4Addr(Ipv4Addr dst)> src_for;
     // Connection-checkpoint sink; nullptr (the default) disables the whole
@@ -524,6 +528,15 @@ class TcpEngine {
   void arm_rto(Conn& c);
   void cancel_rto(Conn& c);
   void on_rto(SockId sock);
+  // A segment IP has not completed yet: the engine's header and the host's
+  // descriptor, both in buf_pool.
+  struct InFlight {
+    chan::RichPtr hdr;
+    chan::RichPtr desc;
+  };
+  // Hands `seg` to the host under the in-flight record `cookie`.
+  void output(TxSeg&& seg, std::uint64_t cookie);
+  void free_in_flight(const InFlight& f);
   void process_ack(Conn& c, const TcpHeader& h);
   // Returns true when the engine retained a reference to pkt.frame (queued
   // in rcvq or the reassembly map).
@@ -583,13 +596,12 @@ class TcpEngine {
   SockId next_sock_ = 1;  // rebased onto env_.sock_base by the constructor
   std::uint16_t next_port_ = 30000;
   std::uint32_t isn_ = 0x1000;
-  std::uint64_t next_cookie_ = 1;
 
   std::unordered_map<SockId, Listener> listeners_;
   std::unordered_map<std::uint16_t, SockId> listen_ports_;
   std::unordered_map<SockId, Conn> conns_;
   std::map<ConnKey, SockId> by_tuple_;
-  std::unordered_map<std::uint64_t, chan::RichPtr> hdr_inflight_;
+  chan::RequestDb<InFlight> inflight_;
   // Sockets created by open() but not yet listener/connection.
   std::unordered_map<SockId, TupleInfo> embryos_;
   // Connections restore_conn() rebuilt, awaiting resync_restored().

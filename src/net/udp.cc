@@ -16,10 +16,10 @@ UdpEngine::~UdpEngine() {
   for (auto& [id, sock] : socks_) {
     for (auto& item : sock.rxq) env_.rx_done(item.frame);
   }
-  for (auto& [cookie, seg] : inflight_) {
-    env_.buf_pool->release(seg.header);
-    if (seg.payload.valid()) env_.buf_pool->release(seg.payload);
-  }
+  inflight_.for_each([this](std::uint64_t, const InFlight& f) {
+    env_.buf_pool->release(f.header);
+    if (f.payload.valid()) env_.buf_pool->release(f.payload);
+  });
 }
 
 UdpEngine::Sock* UdpEngine::find(SockId s) {
@@ -142,20 +142,21 @@ bool UdpEngine::sendto(SockId s, chan::RichPtr payload, Ipv4Addr dst,
   seg.dst = dst;
   seg.protocol = kProtoUdp;
 
-  const std::uint64_t cookie = next_cookie_++;
-  inflight_.emplace(cookie, PendingSeg{hdr, payload});
+  const std::uint64_t cookie =
+      inflight_.add(InFlight{hdr, payload, {}, src, dst});
   ++stats_.datagrams_out;
-  env_.output(std::move(seg), cookie);
+  const chan::RichPtr desc = env_.output(std::move(seg), cookie);
+  if (InFlight* f = inflight_.find(cookie)) f->desc = desc;
   return true;
 }
 
 void UdpEngine::seg_done(std::uint64_t cookie, bool sent) {
   (void)sent;  // UDP is fire-and-forget either way
-  auto it = inflight_.find(cookie);
-  if (it == inflight_.end()) return;  // stale reply from before a crash
-  env_.buf_pool->release(it->second.header);
-  if (it->second.payload.valid()) env_.buf_pool->release(it->second.payload);
-  inflight_.erase(it);
+  auto f = inflight_.take(cookie);
+  if (!f) return;  // stale reply from before a crash
+  if (f->desc.valid()) env_.buf_pool->release(f->desc);
+  env_.buf_pool->release(f->header);
+  if (f->payload.valid()) env_.buf_pool->release(f->payload);
 }
 
 void UdpEngine::input(L4Packet&& pkt) {

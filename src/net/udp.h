@@ -11,9 +11,11 @@
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/chan/pool.h"
+#include "src/chan/request_db.h"
 #include "src/net/env.h"
 #include "src/net/ip.h"
 #include "src/net/steering.h"
@@ -28,8 +30,10 @@ class UdpEngine {
     Clock* clock = nullptr;
     chan::PoolRegistry* pools = nullptr;
     chan::Pool* buf_pool = nullptr;  // UDP-owned: headers + payload staging
-    std::function<void(TxSeg&&, std::uint64_t cookie)> output;  // to IP
-    std::function<void(const chan::RichPtr&)> rx_done;          // to IP
+    // Hands a datagram to IP; `cookie` comes back through seg_done.  As
+    // TcpEngine::Env::output, returns the descriptor to free with it.
+    std::function<chan::RichPtr(TxSeg&&, std::uint64_t cookie)> output;
+    std::function<void(const chan::RichPtr&)> rx_done;  // to IP
     std::function<void(SockId)> notify_readable;
     // Source-address selection for unbound sockets (host wires to IP config).
     std::function<Ipv4Addr(Ipv4Addr dst)> src_for;
@@ -54,7 +58,9 @@ class UdpEngine {
   };
 
   explicit UdpEngine(Env env);
-  // Releases queued receive frames and in-flight TX chunks.
+  // Releases queued receive frames and in-flight headers and payloads.  The
+  // host's descriptors may still sit in IP's queue, which outlives a
+  // crashed host: they leak, bounded per crash.
   ~UdpEngine();
 
   UdpEngine(const UdpEngine&) = delete;
@@ -109,6 +115,23 @@ class UdpEngine {
   void input(L4Packet&& pkt);
   void seg_done(std::uint64_t cookie, bool sent);
 
+  // A datagram IP has not completed yet: the engine's header and payload,
+  // the host's descriptor and the addresses it was sent with.
+  struct InFlight {
+    chan::RichPtr header;
+    chan::RichPtr payload;
+    chan::RichPtr desc;
+    Ipv4Addr src;
+    Ipv4Addr dst;
+  };
+  // Visits the datagrams in flight, oldest first: fn(cookie, const
+  // InFlight&).  After an IP restart the host resends them (Section V-D
+  // "UDP": duplicates are preferred over losses).
+  template <typename Fn>
+  void for_each_in_flight(Fn&& fn) {
+    inflight_.for_each(std::forward<Fn>(fn));
+  }
+
   // --- recovery (Section V-D) ------------------------------------------------------
   struct SockRec {
     SockId id = 0;
@@ -149,11 +172,6 @@ class UdpEngine {
     std::uint16_t pport = 0;
     std::deque<RxItem> rxq;
   };
-  struct PendingSeg {
-    chan::RichPtr header;
-    chan::RichPtr payload;
-  };
-
   Sock* find(SockId s);
   const Sock* find(SockId s) const;
   std::uint16_t ephemeral_port();
@@ -169,10 +187,9 @@ class UdpEngine {
   Stats stats_;
   SockId next_sock_ = 1;
   std::uint16_t next_port_ = 20000;
-  std::uint64_t next_cookie_ = 1;
   std::unordered_map<SockId, Sock> socks_;
   std::unordered_map<std::uint16_t, SockId> bound_;  // lport -> socket
-  std::unordered_map<std::uint64_t, PendingSeg> inflight_;
+  chan::RequestDb<InFlight> inflight_;
 
   static constexpr std::size_t kMaxRxQueue = 64;
 };

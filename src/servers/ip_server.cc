@@ -8,7 +8,12 @@
 namespace newtos::servers {
 
 IpServer::IpServer(NodeEnv* env, sim::SimCore* core, Config cfg)
-    : Server(env, kIpName, core), cfg_(std::move(cfg)) {}
+    : Server(env, kIpName, core), cfg_(std::move(cfg)) {
+  for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s)
+    l4_peers_.push_back(tcp_shard_name(s));
+  for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s)
+    l4_peers_.push_back(udp_shard_name(s));
+}
 
 int IpServer::ifindex_of(const std::string& driver) {
   return std::atoi(driver.c_str() + 3);  // "drvN"
@@ -55,34 +60,31 @@ void IpServer::build_engine() {
   e.hdr_pool = hdr_pool_;
   e.rx_pool = rx_pool_;
   e.csum_offload = cfg_.csum_offload;
-  e.send_frame = [this](int ifindex, net::TxFrame&& frame,
+  e.send_frame = [this](int ifindex, const net::TxFrame& frame,
                         std::uint64_t cookie) {
     sim::Context& ctx = cur();
     charge(ctx, 150);  // descriptor packing
     chan::RichPtr desc =
         net::pack_chain(*hdr_pool_, frame.header, frame.payload,
                         frame.offload);
-    if (!desc.valid()) return;  // pool exhausted: RTO recovers
-    auto old = drv_descs_.find(cookie);
-    if (old != drv_descs_.end()) {  // resubmission: replace the descriptor
-      hdr_pool_->release(old->second);
-      drv_descs_.erase(old);
-    }
+    if (!desc.valid()) return desc;  // pool exhausted: RTO recovers
     chan::Message m;
     m.opcode = kDrvTx;
     m.req_id = cookie;
     m.ptr = desc;
-    if (!send_to(driver_name(ifindex), m, ctx)) {
-      hdr_pool_->release(desc);  // driver down/full: dropped, RTO recovers
-      return;
-    }
-    drv_descs_.emplace(cookie, desc);
+    if (send_to(driver_name(ifindex), m, ctx)) return desc;
+    hdr_pool_->release(desc);  // driver down/full: dropped, RTO recovers
+    return chan::RichPtr{};
   };
   if (cfg_.use_pf) {
     e.pf_check = [this](const net::PfQuery& q, std::uint64_t cookie) {
-      send_to(kPfName, make_pf_check(cookie, q), cur());
-      // If PF is down the query is repeated on its restart
-      // (resubmit_pf_pending); nothing is ever lost here (Section V-D).
+      // Only while PF is ready.  Until it announces, the query waits in the
+      // engine and then goes out with every other unanswered one, oldest
+      // first (on_peer_up), so no query overtakes an older one and nothing
+      // is ever lost here (Section V-D).
+      if (peer_ready(kPfName)) {
+        send_to(kPfName, make_pf_check(cookie, q), cur());
+      }
     };
   }
   e.deliver_tcp = [this](net::L4Packet&& pkt) {
@@ -136,6 +138,7 @@ void IpServer::build_engine() {
   if (cfg_.gro && cfg_.use_pf) {
     e.pf_check_batch =
         [this](std::span<const std::pair<net::PfQuery, std::uint64_t>> qs) {
+          if (!peer_ready(kPfName)) return;  // as pf_check: they wait
           sim::Context& ctx = cur();
           std::vector<WirePfQuery> recs;
           recs.reserve(qs.size());
@@ -151,22 +154,20 @@ void IpServer::build_engine() {
             if (send_to(kPfName, m, ctx)) return;
             hdr_pool_->release(desc);
           }
-          // PF down or pool exhausted: per-query messages; unanswered
-          // queries are repeated on PF's restart (resubmit_pf_pending).
+          // Pool exhausted or PF's queue full: per-query messages;
+          // unanswered queries are repeated on PF's restart
+          // (resubmit_pf_pending).
           for (const auto& [q, cookie] : qs) {
             send_to(kPfName, make_pf_check(cookie, q), ctx);
           }
         };
   }
-  e.seg_done = [this](std::uint64_t l4_cookie, bool sent) {
-    auto it = l4_reqs_.find(l4_cookie);
-    if (it == l4_reqs_.end()) return;
+  e.seg_done = [this](const net::L4Req& req, bool sent) {
     chan::Message m;
     m.opcode = kIpTxDone;
-    m.req_id = it->second.orig_id;
+    m.req_id = req.id;
     m.arg0 = sent ? 1 : 0;
-    send_to(it->second.from, m, cur());
-    l4_reqs_.erase(it);
+    send_to(l4_peers_[req.peer], m, cur());
   };
   engine_ = std::make_unique<net::IpEngine>(std::move(e), cfg_.ip);
 }
@@ -175,11 +176,7 @@ void IpServer::start(bool restart) {
   hdr_pool_ = env().get_pool("ip.hdr", 16u << 20);
   rx_pool_ = env().get_pool("ip.rx", 32u << 20);
 
-  std::vector<std::string> peers;
-  for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s)
-    peers.push_back(tcp_shard_name(s));
-  for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s)
-    peers.push_back(udp_shard_name(s));
+  std::vector<std::string> peers = l4_peers_;
   peers.push_back(kStoreName);
   if (cfg_.use_pf) peers.push_back(kPfName);
   for (int ifindex : cfg_.ifindexes) peers.push_back(driver_name(ifindex));
@@ -220,9 +217,9 @@ void IpServer::on_stored(std::uint32_t, std::span<const std::byte> value,
 }
 
 void IpServer::on_killed() {
+  // The engine's records go with it: in-flight frame headers and
+  // descriptor chunks leak, bounded per crash.
   engine_.reset();
-  l4_reqs_.clear();
-  drv_descs_.clear();  // in-flight descriptor chunks leak, bounded per crash
   posted_.clear();
   probe_from_.clear();
 }
@@ -251,7 +248,10 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
     case kIpTx: {
       charge(ctx, costs.ip_packet_proc);
       auto chain = net::unpack_chain(*env().pools, m.ptr);
-      if (!chain) {  // malformed request: reply failure (validate & ignore)
+      const auto peer = std::find(l4_peers_.begin(), l4_peers_.end(), from);
+      if (!chain || peer == l4_peers_.end()) {
+        // Malformed request, or not from a transport: reply failure
+        // (validate & ignore).
         chan::Message done;
         done.opcode = kIpTxDone;
         done.req_id = m.req_id;
@@ -270,25 +270,20 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       if (!cfg_.csum_offload) {
         charge(ctx, costs.checksum_cost(seg.total_len()));
       }
-      const std::uint64_t id = next_l4_++;
-      l4_reqs_.emplace(id, L4Req{from, m.req_id});
-      engine_->output(std::move(seg), id);
+      engine_->output(
+          std::move(seg),
+          net::L4Req{static_cast<std::uint32_t>(peer - l4_peers_.begin()),
+                     m.req_id});
       return;
     }
     case kPfVerdict:
       charge(ctx, 120);
       engine_->pf_verdict(m.req_id, m.arg0 != 0);
       return;
-    case kDrvTxDone: {
+    case kDrvTxDone:
       charge(ctx, 150);
-      auto it = drv_descs_.find(m.req_id);
-      if (it != drv_descs_.end()) {
-        hdr_pool_->release(it->second);
-        drv_descs_.erase(it);
-      }
       engine_->tx_done(m.req_id, m.arg0 != 0);
       return;
-    }
     case kDrvRx:
     case kDrvRxBurst: {
       // One dequeue per receive interrupt; the per-frame protocol work is
@@ -436,9 +431,10 @@ void IpServer::on_peer_up(const std::string& peer, bool restarted,
     post_rx_buffers(ifindex, ctx);
     return;
   }
-  if (peer == kPfName && restarted && engine_) {
-    // PF lost our unanswered queries; repeat them — no packet loss across a
-    // PF restart (Section V-D, Figure 5).
+  if (peer == kPfName && engine_) {
+    // PF is ready: send every unanswered query, oldest first.  After a
+    // restart these are the ones PF lost, so no packet is lost across a PF
+    // restart (Section V-D, Figure 5); the others waited for this announce.
     engine_->resubmit_pf_pending();
   }
 }

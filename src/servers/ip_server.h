@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/ip.h"
@@ -71,18 +70,13 @@ class IpServer : public Server {
   void deliver_l4(char proto, net::L4Packet&& pkt);
 
   Config cfg_;
+  // The transport replicas (TCP shards, then UDP shards): a segment's
+  // net::L4Req::peer indexes this list.
+  std::vector<std::string> l4_peers_;
   std::unique_ptr<net::IpEngine> engine_;
   chan::Pool* hdr_pool_ = nullptr;
   chan::Pool* rx_pool_ = nullptr;
 
-  struct L4Req {
-    std::string from;
-    std::uint64_t orig_id = 0;
-  };
-  std::unordered_map<std::uint64_t, L4Req> l4_reqs_;
-  std::uint64_t next_l4_ = 1;
-  // Frame-chain descriptors we packed for drivers, freed on completion.
-  std::unordered_map<std::uint64_t, chan::RichPtr> drv_descs_;
   std::map<int, int> posted_;  // rx buffers outstanding per ifindex
   // In-flight work probes (cookie -> the transport replica to ack).
   std::map<std::uint64_t, std::string> probe_from_;

@@ -82,7 +82,7 @@ void PfServer::request_conn_lists(sim::Context& ctx) {
   for (const auto& peer : transports_) {
     chan::Message m;
     m.opcode = kConnList;
-    m.req_id = request_db().add(peer, 0, {});
+    m.req_id = request_db().add({});
     send_to(peer, m, ctx);
   }
 }
@@ -168,7 +168,7 @@ void PfServer::on_message(const std::string& from, const chan::Message& m,
       return;
     }
     case kConnListReply: {
-      request_db().complete(m.req_id);
+      request_db().take(m.req_id);
       if (m.ptr.valid()) {
         auto bytes = env().pools->read(m.ptr);
         if (bytes.size() >= 4) {

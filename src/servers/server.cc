@@ -67,7 +67,7 @@ void Server::kill() {
   in_queues_.clear();
   outs_.clear();
   control_.clear();
-  rdb_ = chan::RequestDb{};
+  rdb_.clear();
   if (env_->report_crash) env_->report_crash(this);
 }
 
@@ -111,10 +111,10 @@ bool Server::store_put(std::uint32_t key, std::span<const std::byte> value,
   chan::Message m;
   m.opcode = kStorePut;
   m.arg0 = key;
-  m.req_id = rdb_.add(kStoreName, chunk.offset, {});
+  m.req_id = rdb_.add(Request{key, chunk});
   m.ptr = chunk;
   if (send_to(kStoreName, m, ctx)) return true;
-  rdb_.complete(m.req_id);
+  rdb_.take(m.req_id);
   pool.release(chunk);
   return false;
 }
@@ -123,28 +123,26 @@ bool Server::store_get(std::uint32_t key, sim::Context& ctx) {
   chan::Message m;
   m.opcode = kStoreGet;
   m.arg0 = key;
-  m.req_id = rdb_.add(kStoreName, key, {});
+  m.req_id = rdb_.add(Request{key, {}});
   if (send_to(kStoreName, m, ctx)) return true;
-  rdb_.complete(m.req_id);
+  rdb_.take(m.req_id);
   return false;
 }
 
 void Server::dispatch(const std::string& from, const chan::Message& m,
                       sim::Context& ctx) {
-  std::uint64_t cookie = 0;
   switch (m.opcode) {
     case kStoreAck:
-      // The storage server copied the value: the chunk the put named (its
-      // offset is the cookie) goes back to our pool.  A stale ack, from
-      // before our own restart, is ignored.
-      if (rdb_.complete(m.req_id, &cookie) && m.ptr.offset == cookie) {
-        env_->pools->release(m.ptr);
-      }
+      // The storage server copied the value: the chunk the put recorded
+      // goes back to our pool.  A stale ack, from before our own restart,
+      // is ignored.
+      if (auto req = rdb_.take(m.req_id)) env_->pools->release(req->chunk);
       return;
     case kStoreReply: {
-      if (!rdb_.complete(m.req_id, &cookie)) return;
+      const auto req = rdb_.take(m.req_id);
+      if (!req) return;
       const bool found = m.arg0 != 0;
-      on_stored(static_cast<std::uint32_t>(cookie),
+      on_stored(req->key,
                 found ? env_->pools->read(m.ptr)
                       : std::span<const std::byte>{},
                 ctx);

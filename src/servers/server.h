@@ -96,14 +96,12 @@ struct NodeEnv {
       sock_event;
 };
 
-// --- shared teardown helpers ---------------------------------------------------------
+// --- shared teardown helper ----------------------------------------------------------
 //
 // Every engine-hosting server tears down the same way: a dying (or
 // destructing) process has no handler context to send done-reports from, so
 // the engine's queued receive frames detach to direct pool releases before
-// the engine drops, and in-flight TX descriptors go straight back to the
-// staging pool.  These helpers replace the near-identical blocks that used
-// to live in each server's destructor and on_killed().
+// the engine drops.
 
 // Detaches the engine's rx_done report (queued receive frames release
 // directly through the pool registry) and destroys it.
@@ -113,28 +111,6 @@ inline void drop_engine(EnginePtr& engine) {
     engine->detach_rx_done();
     engine.reset();
   }
-}
-
-// Releases every in-flight descriptor of `descs` into `pool` and clears the
-// map.  `proj` extracts the RichPtr from a map value (identity for plain
-// RichPtr maps).
-template <typename Map, typename Proj>
-inline void release_in_flight(chan::Pool* pool, Map& descs, Proj&& proj) {
-  if (pool != nullptr) {
-    for (auto& [key, value] : descs) {
-      const chan::RichPtr& p = proj(value);
-      if (p.valid()) pool->release(p);
-    }
-  }
-  descs.clear();
-}
-
-template <typename Map>
-inline void release_in_flight(chan::Pool* pool, Map& descs) {
-  release_in_flight(pool, descs,
-                    [](const chan::RichPtr& p) -> const chan::RichPtr& {
-                      return p;
-                    });
 }
 
 class Server {
@@ -279,7 +255,15 @@ class Server {
   net::Clock* clock() { return &clock_adapter_; }
   net::TimerService* timers() { return &timer_adapter_; }
 
-  chan::RequestDb& request_db() { return rdb_; }
+  // What this server remembers of a request it sent through the base: the
+  // key a storage get asked for, or the chunk a put copied its value into
+  // (freed when the storage server acks it).  PF's connection-list queries
+  // need neither.
+  struct Request {
+    std::uint32_t key = 0;
+    chan::RichPtr chunk;
+  };
+  chan::RequestDb<Request>& request_db() { return rdb_; }
 
  private:
   struct OutPeer {
@@ -336,7 +320,7 @@ class Server {
   std::vector<std::string> published_keys_;
   std::deque<std::pair<std::function<void(sim::Context&)>, sim::Cycles>>
       control_;
-  chan::RequestDb rdb_;
+  chan::RequestDb<Request> rdb_;
 
   ClockAdapter clock_adapter_{this};
   TimerAdapter timer_adapter_{this};

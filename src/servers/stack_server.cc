@@ -16,7 +16,6 @@ StackServer::StackServer(NodeEnv* env, sim::SimCore* core, Config cfg,
 StackServer::~StackServer() {
   drop_engine(tcp_);
   drop_engine(udp_);
-  release_in_flight(pool_, drv_descs_);
 }
 
 int StackServer::ifindex_of(const std::string& driver) {
@@ -43,42 +42,35 @@ void StackServer::build_engines() {
   ie.hdr_pool = pool_;
   ie.rx_pool = rx_pool_;
   ie.csum_offload = cfg_.csum_offload;
-  ie.send_frame = [this](int ifindex, net::TxFrame&& frame,
+  ie.send_frame = [this](int ifindex, const net::TxFrame& frame,
                          std::uint64_t cookie) {
     sim::Context& ctx = cur();
     charge(ctx, sim().costs().drv_packet_proc / 4);  // ring doorbell etc.
     if (cfg_.inline_drivers) {
       drv::SimNic* nic = nic_of(ifindex);
-      if (nic == nullptr) return;
+      if (nic == nullptr) return chan::RichPtr{};
       auto& backlog = tx_backlog_[ifindex];
       if (!backlog.empty() || nic->tx_ring_free() == 0) {
         if (backlog.size() >= 2048) {
           ip_->tx_done(cookie, false);  // shed load, never block
-          return;
+          return chan::RichPtr{};
         }
-        backlog.emplace_back(std::move(frame), cookie);
-        return;
+        backlog.emplace_back(frame, cookie);
+        return chan::RichPtr{};
       }
-      nic->tx_post(std::move(frame), cookie);
-      return;
+      nic->tx_post(frame, cookie);
+      return chan::RichPtr{};
     }
     chan::RichPtr desc =
         net::pack_chain(*pool_, frame.header, frame.payload, frame.offload);
-    if (!desc.valid()) return;
-    auto old = drv_descs_.find(cookie);
-    if (old != drv_descs_.end()) {
-      pool_->release(old->second);
-      drv_descs_.erase(old);
-    }
+    if (!desc.valid()) return desc;
     chan::Message m;
     m.opcode = kDrvTx;
     m.req_id = cookie;
     m.ptr = desc;
-    if (!send_to(driver_name(ifindex), m, ctx)) {
-      pool_->release(desc);
-      return;
-    }
-    drv_descs_.emplace(cookie, desc);
+    if (send_to(driver_name(ifindex), m, ctx)) return desc;
+    pool_->release(desc);
+    return chan::RichPtr{};
   };
   if (pf_) {
     // In-process packet filter: immediate verdict, no hop.
@@ -101,11 +93,12 @@ void StackServer::build_engines() {
     charge(cur(), env().knobs.legacy_per_packet);
     udp_->input(std::move(pkt));
   };
-  ie.seg_done = [this](std::uint64_t l4_cookie, bool sent) {
-    if (l4_cookie & kUdpTag) {
-      udp_->seg_done(l4_cookie & ~kUdpTag, sent);
+  // A segment's requester is its transport: L4Req::peer is the protocol.
+  ie.seg_done = [this](const net::L4Req& req, bool sent) {
+    if (req.peer == net::kProtoUdp) {
+      udp_->seg_done(req.id, sent);
     } else {
-      tcp_->seg_done(l4_cookie, sent);
+      tcp_->seg_done(req.id, sent);
     }
   };
   ip_ = std::make_unique<net::IpEngine>(std::move(ie), cfg_.ip);
@@ -130,7 +123,8 @@ void StackServer::build_engines() {
     if (!cfg_.csum_offload) charge(cur(), costs.checksum_cost(seg.total_len()));
     net::TxSeg s = std::move(seg);
     s.offload.tso = s.offload.tso && env().knobs.tso;
-    ip_->output(std::move(s), cookie);
+    ip_->output(std::move(s), net::L4Req{net::kProtoTcp, cookie});
+    return chan::RichPtr{};  // handed over by call: no descriptor
   };
   te.rx_done = [this](const chan::RichPtr& frame) { ip_->rx_done(frame); };
   te.notify = [this](net::SockId s, net::TcpEvent ev) {
@@ -147,7 +141,8 @@ void StackServer::build_engines() {
   ue.output = [this, &costs](net::TxSeg&& seg, std::uint64_t cookie) {
     charge(cur(), costs.ip_packet_proc + env().knobs.legacy_per_packet);
     if (!cfg_.csum_offload) charge(cur(), costs.checksum_cost(seg.total_len()));
-    ip_->output(std::move(seg), cookie | kUdpTag);
+    ip_->output(std::move(seg), net::L4Req{net::kProtoUdp, cookie});
+    return chan::RichPtr{};
   };
   ue.rx_done = [this](const chan::RichPtr& frame) { ip_->rx_done(frame); };
   ue.notify_readable = [this](net::SockId s) {
@@ -278,11 +273,11 @@ void StackServer::on_killed() {
   pf_.reset();
   // The dying process cannot send done-reports; queued receive frames go
   // straight back to their owning pool (ip_ may already be gone when the
-  // engine destructors run).  In-flight descriptors leak, bounded per crash.
+  // engine destructors run).  In-flight descriptors leak with IP's records,
+  // bounded per crash.
   drop_engine(tcp_);
   drop_engine(udp_);
   ip_.reset();
-  drv_descs_.clear();
   posted_.clear();
 }
 
@@ -435,15 +430,9 @@ void StackServer::on_message(const std::string& from, const chan::Message& m,
                              sim::Context& ctx) {
   const auto& costs = sim().costs();
   switch (m.opcode) {
-    case kDrvTxDone: {
-      auto it = drv_descs_.find(m.req_id);
-      if (it != drv_descs_.end()) {
-        pool_->release(it->second);
-        drv_descs_.erase(it);
-      }
+    case kDrvTxDone:
       if (ip_) ip_->tx_done(m.req_id, m.arg0 != 0);
       return;
-    }
     case kDrvRx:
     case kDrvRxBurst: {
       // A receive interrupt from a channel-attached driver.  The combined

@@ -15,7 +15,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/drv/nic.h"
@@ -44,8 +43,8 @@ class StackServer : public Server {
   // inline_drivers is set.
   StackServer(NodeEnv* env, sim::SimCore* core, Config cfg,
               std::vector<drv::SimNic*> nics);
-  // Teardown: releases engine queues and in-flight descriptors straight
-  // into the pools (no handler context for done-reports).
+  // Teardown: releases the transport engines' queues and in-flight chunks
+  // straight into the pools (no handler context for done-reports).
   ~StackServer() override;
 
   net::TcpEngine* tcp_engine() { return tcp_.get(); }
@@ -72,9 +71,6 @@ class StackServer : public Server {
                  sim::Context& ctx) override;
 
  private:
-  // l4 cookies are tagged so IP completions route to the right engine.
-  static constexpr std::uint64_t kUdpTag = std::uint64_t{1} << 63;
-
   void build_engines();
   void install_inline_nic_handlers();
   void post_rx_buffers(int ifindex, sim::Context& ctx);
@@ -93,7 +89,6 @@ class StackServer : public Server {
   std::unique_ptr<net::TcpEngine> tcp_;
   std::unique_ptr<net::UdpEngine> udp_;
 
-  std::unordered_map<std::uint64_t, chan::RichPtr> drv_descs_;
   std::map<int, int> posted_;
   // Inline-driver mode: frames waiting for TX ring slots, per ifindex.
   std::map<int, std::deque<std::pair<net::TxFrame, std::uint64_t>>>

@@ -22,10 +22,8 @@ SyscallServer::SyscallServer(NodeEnv* env, sim::SimCore* core,
 SyscallServer::~SyscallServer() {
   // Staged payloads (request.ptr) are NOT touched: the transport may have
   // executed the op already and own them — its own teardown releases them.
-  release_in_flight(pool_, pending_,
-                    [](const Pending& p) -> const chan::RichPtr& {
-                      return p.chunk;
-                    });
+  pending_.for_each(
+      [this](std::uint64_t, const Pending& p) { release_chunk(p); });
 }
 
 void SyscallServer::start(bool restart) {
@@ -71,9 +69,8 @@ void SyscallServer::fail_op(const chan::Message& request,
   deliver(err);
 }
 
-void SyscallServer::settle(std::map<std::uint64_t, Pending>::iterator it) {
-  if (it->second.chunk.valid()) pool_->release(it->second.chunk);
-  pending_.erase(it);
+void SyscallServer::release_chunk(const Pending& p) {
+  if (p.chunk.valid()) pool_->release(p.chunk);
 }
 
 void SyscallServer::forward_batch(std::vector<BatchOp> ops,
@@ -98,16 +95,18 @@ void SyscallServer::forward_batch(std::vector<BatchOp> ops,
                                        : tcp_targets_[shard]);
       });
 
-  for (const auto& target : targets_) {
+  for (std::size_t t = 0; t < targets_.size(); ++t) {
+    const std::string& target = targets_[t];
     std::vector<std::size_t> idxs;
     std::vector<WireSockOp> wire;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (target_of[i] != target) continue;
       chan::Message fwd = ops[i].request;
-      fwd.req_id = next_req_++;
       if (ops[i].proto == 'U') fwd.flags |= 2;  // proto marker, single ops
-      pending_[fwd.req_id] =
-          Pending{ops[i].proto, target, fwd, ops[i].deliver, {}};
+      const std::uint64_t id =
+          pending_.add(Pending{ops[i].proto, t, fwd, ops[i].deliver, {}});
+      fwd.req_id = id;
+      pending_.find(id)->request.req_id = id;
       idxs.push_back(i);
       wire.push_back(sock_op_from_message(ops[i].proto, fwd));
     }
@@ -126,7 +125,7 @@ void SyscallServer::forward_batch(std::vector<BatchOp> ops,
       // group (the apps retry).
       if (chunk.valid()) pool_->release(chunk);
       for (std::size_t k = 0; k < wire.size(); ++k) {
-        pending_.erase(wire[k].req_id);
+        pending_.take(wire[k].req_id);
         fail_op(ops[idxs[k]].request, ops[idxs[k]].deliver);
       }
       continue;
@@ -137,7 +136,7 @@ void SyscallServer::forward_batch(std::vector<BatchOp> ops,
     // crash can therefore never strand the chunk.
     for (std::size_t k = 1; k < wire.size(); ++k) pool_->addref(chunk);
     for (std::size_t k = 0; k < wire.size(); ++k) {
-      pending_[wire[k].req_id].chunk = chunk;
+      pending_.find(wire[k].req_id)->chunk = chunk;
     }
   }
 }
@@ -147,12 +146,10 @@ void SyscallServer::on_message(const std::string& from,
   (void)from;
   (void)ctx;
   if (m.opcode != kSockReply) return;
-  auto it = pending_.find(m.req_id);
-  if (it == pending_.end()) return;  // stale reply from before a crash
-  chan::Message reply = m;
-  reply.req_id = it->second.request.req_id;  // restore the app's request id
-  it->second.deliver(reply);
-  settle(it);
+  const auto p = pending_.take(m.req_id);
+  if (!p) return;  // stale reply from before a crash
+  p->deliver(m);
+  release_chunk(*p);
 }
 
 void SyscallServer::on_peer_up(const std::string& peer, bool restarted,
@@ -162,25 +159,23 @@ void SyscallServer::on_peer_up(const std::string& peer, bool restarted,
   // socket (duplicates preferred over losses); TCP "returns error to any
   // operation the SYSCALL server resubmits except listen".  Only the ops
   // that were in flight towards the restarted replica are affected — its
-  // siblings' flows never notice.
-  std::vector<std::uint64_t> done;
-  for (auto& [id, p] : pending_) {
-    if (p.target != peer) continue;
-    const char proto = p.proto;
+  // siblings' flows never notice.  Oldest first, in either case.
+  pending_.for_each([&](std::uint64_t id, Pending& p) {
+    if (targets_[p.target] != peer) return;
     // An op still naming the in-batch open sentinel cannot be resubmitted
     // standalone — its open's identity died with the batch; fail it so the
     // app reopens.
     const bool resubmit =
-        (proto == 'U' || p.request.opcode == kSockListen) &&
+        (p.proto == 'U' || p.request.opcode == kSockListen) &&
         p.request.socket != kSockFromBatchOpen;
     if (resubmit) {
       send_to(peer, p.request, ctx);
-    } else {
-      fail_op(p.request, p.deliver);
-      done.push_back(id);
+      return;
     }
-  }
-  for (auto id : done) settle(pending_.find(id));
+    const auto failed = pending_.take(id);
+    fail_op(failed->request, failed->deliver);
+    release_chunk(*failed);
+  });
 }
 
 }  // namespace newtos::servers

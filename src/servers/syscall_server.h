@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/chan/request_db.h"
 #include "src/servers/proto.h"
 #include "src/servers/server.h"
 
@@ -65,7 +65,7 @@ class SyscallServer : public Server {
  private:
   struct Pending {
     char proto = 'T';
-    std::string target;  // the transport shard the op was sent to
+    std::size_t target = 0;  // the transport shard it went to (targets_)
     chan::Message request;
     DeliverFn deliver;
     // The packed batch chunk this op rode in on; each op holds one
@@ -73,8 +73,8 @@ class SyscallServer : public Server {
     chan::RichPtr chunk;
   };
 
-  // Settles a pending op: releases its chunk reference and erases it.
-  void settle(std::map<std::uint64_t, Pending>::iterator it);
+  // Drops a settled op's reference on its batch chunk.
+  void release_chunk(const Pending& p);
 
   void forward_batch(std::vector<BatchOp> ops, sim::Context& ctx);
   void fail_op(const chan::Message& request, const DeliverFn& deliver);
@@ -84,8 +84,7 @@ class SyscallServer : public Server {
   std::vector<std::string> targets_;  // tcp ∪ udp, deduplicated, in order
   ShardCursors open_rr_;        // round-robin cursors for new sockets
   chan::Pool* pool_ = nullptr;  // staging for packed kSockBatch arrays
-  std::map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_req_ = 1;
+  chan::RequestDb<Pending> pending_;
   std::uint64_t calls_ = 0;
   std::uint64_t batches_ = 0;
 };

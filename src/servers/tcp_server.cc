@@ -8,10 +8,7 @@ TcpServer::TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
     : TransportServer(env, core, 'T', std::move(src_for), shard, shard_count),
       opts_(opts) {}
 
-TcpServer::~TcpServer() {
-  drop_engine(engine_);
-  release_in_flight(pool_, tx_descs_);
-}
+TcpServer::~TcpServer() { drop_engine(engine_); }
 
 void TcpServer::build_writer() {
   if (!opts_.checkpoint) return;
@@ -45,11 +42,8 @@ void TcpServer::build_engine() {
     // superframe covers ~42 MSS of payload, which is the whole point.
     charge(ctx, sim().costs().tcp_segment_proc + 150);
     const chan::RichPtr desc = send_ip_tx(seg, cookie, ctx);
-    if (!desc.valid()) {
-      engine_->seg_done(cookie, false);  // RTO recovers
-      return;
-    }
-    tx_descs_.emplace(cookie, desc);
+    if (!desc.valid()) engine_->seg_done(cookie, false);  // RTO recovers
+    return desc;
   };
   e.notify = [this](net::SockId s, net::TcpEvent ev) {
     if (env().sock_event)
@@ -100,14 +94,14 @@ void TcpServer::start(bool restart) {
 void TcpServer::on_killed() {
   // The dying process cannot send done-reports; queued receive frames go
   // straight back to their owning pool.  In-flight descriptor chunks leak,
-  // bounded per crash.  Checkpointed connections first PARK their queue
+  // bounded per crash (TcpEngine's destructor).  Checkpointed connections
+  // first PARK their queue
   // references: they stay live in the pools, recorded in the loan ledger
   // and the checkpoint pages, ready for the next incarnation to re-adopt.
   if (engine_ && opts_.checkpoint) engine_->park_checkpointed();
   writer_.reset();  // bookkeeping dies with the process; the pages survive
   fastpath_.reset();  // held frames (pending PF verdicts) back to the pool
   drop_engine(engine_);
-  tx_descs_.clear();
   ckpt_pending_ = 0;
   ckpt_socks_seen_.clear();
   ckpt_fetch_queue_.clear();
@@ -246,16 +240,10 @@ void TcpServer::on_message(const std::string& from, const chan::Message& m,
       deliver_agg(std::move(segs));
       return;
     }
-    case kIpTxDone: {
+    case kIpTxDone:
       charge(ctx, sim().costs().request_db_op);
-      auto it = tx_descs_.find(m.req_id);
-      if (it != tx_descs_.end()) {
-        pool_->release(it->second);
-        tx_descs_.erase(it);
-      }
       engine_->seg_done(m.req_id, m.arg0 != 0);
       return;
-    }
     case kDrvLink:
       if (m.arg0 != 0 && engine_) engine_->on_path_restored();
       return;
@@ -357,10 +345,9 @@ void TcpServer::on_stored(std::uint32_t key, std::span<const std::byte> value,
 void TcpServer::on_peer_up(const std::string& peer, bool restarted,
                            sim::Context& ctx) {
   if (peer == kIpName && restarted) {
-    // IP lost everything in flight: free our descriptors (replies to the old
-    // requests will never arrive / are ignored) and retransmit quickly to
-    // recover the original bitrate (Section V-D "IP", Figure 4).
-    release_in_flight(pool_, tx_descs_);
+    // IP lost everything in flight: the engine frees its records (replies
+    // to the old requests will never arrive / are ignored) and retransmits
+    // quickly to recover the original bitrate (Section V-D "IP", Figure 4).
     if (engine_) engine_->on_ip_restart();
     return;
   }

@@ -34,7 +34,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/tcp.h"
@@ -48,9 +47,9 @@ class TcpServer : public TransportServer {
   TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
             std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
             int shard = 0, int shard_count = 1);
-  // Releases everything still referenced (engine queues, in-flight
-  // descriptors) straight into the pools: at teardown there is no handler
-  // context to send done-reports from.
+  // Releases the engine's queues and in-flight headers straight into the
+  // pools: at teardown there is no handler context to send done-reports
+  // from.
   ~TcpServer() override;
 
   net::TcpEngine* engine() { return engine_.get(); }
@@ -109,8 +108,6 @@ class TcpServer : public TransportServer {
   net::TcpOptions opts_;
   std::unique_ptr<CheckpointWriter> writer_;  // before engine_: outlives it
   std::unique_ptr<net::TcpEngine> engine_;
-  // kIpTx descriptors in flight; freed on kIpTxDone or IP restart.
-  std::unordered_map<std::uint64_t, chan::RichPtr> tx_descs_;
   int ckpt_pending_ = 0;  // record/dir-page fetches still outstanding
   // Socks whose records were already requested during this restore: a
   // partially-flushed directory chain may list one on two pages.

@@ -73,9 +73,12 @@ void TransportServer::build_fastpath(
   };
   fe.deliver_agg = std::move(deliver_agg);
   fe.pf_check = [this](const net::PfQuery& q, std::uint64_t cookie) {
-    send_to(kPfName, make_pf_check(cookie, q), cur());
-    // PF down: the query stays pending; resubmit_pf on its return repeats
-    // it and the held frames drain then.
+    // Only while PF is ready, as IP does: until it announces, the query
+    // stays pending and resubmit_pf sends it then, oldest first, and the
+    // held frames drain.
+    if (peer_ready(kPfName)) {
+      send_to(kPfName, make_pf_check(cookie, q), cur());
+    }
   };
   fe.fallback = [this](int ifindex, const chan::RichPtr& frame) {
     chan::Message m;

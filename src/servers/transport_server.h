@@ -76,9 +76,9 @@ class TransportServer : public Server {
       send_to(kIpName, m, cur());
     };
   }
-  // Packs `seg` and sends it to IP as kIpTx.  Returns the descriptor, kept
-  // until kIpTxDone; invalid when the staging pool is exhausted or IP is
-  // down (nothing stays allocated then).
+  // Packs `seg` and sends it to IP as kIpTx.  Returns the descriptor, which
+  // the engine keeps with the segment until kIpTxDone; invalid when the
+  // staging pool is exhausted or IP is down (nothing stays allocated then).
   chan::RichPtr send_ip_tx(const net::TxSeg& seg, std::uint64_t cookie,
                            sim::Context& ctx);
   // Builds the RSS fast path; a no-op unless enable_rx_fastpath was called.
@@ -100,8 +100,9 @@ class TransportServer : public Server {
   // opcodes and passes every other one here.
   void on_message(const std::string& from, const chan::Message& m,
                   sim::Context& ctx) override;
-  // PF (re)appeared: unanswered fast-path queries died with the old
-  // incarnation — repeat them so the held frames drain.
+  // PF (re)announced: send the unanswered fast-path queries, oldest first
+  // (after a restart they died with the old incarnation), so the held
+  // frames drain.
   void on_peer_up(const std::string& peer, bool restarted,
                   sim::Context& ctx) override;
 

@@ -8,13 +8,7 @@ UdpServer::UdpServer(NodeEnv* env, sim::SimCore* core,
     : TransportServer(env, core, 'U', std::move(src_for), shard,
                       shard_count) {}
 
-UdpServer::~UdpServer() {
-  drop_engine(engine_);
-  release_in_flight(pool_, pending_tx_,
-                    [](const PendingTx& p) -> const chan::RichPtr& {
-                      return p.desc;
-                    });
-}
+UdpServer::~UdpServer() { drop_engine(engine_); }
 
 void UdpServer::build_engine() {
   net::UdpEngine::Env e;
@@ -23,12 +17,8 @@ void UdpServer::build_engine() {
     sim::Context& ctx = cur();
     charge(ctx, 150);  // descriptor packing
     const chan::RichPtr desc = send_ip_tx(seg, cookie, ctx);
-    if (!desc.valid()) {
-      engine_->seg_done(cookie, false);  // datagram dropped
-      return;
-    }
-    pending_tx_.emplace(cookie,
-                        PendingTx{desc, pack_addrs(seg.src, seg.dst)});
+    if (!desc.valid()) engine_->seg_done(cookie, false);  // datagram dropped
+    return desc;
   };
   e.notify_readable = [this](net::SockId s) {
     if (env().sock_event) env().sock_event(shard_, 'U', s, 0);
@@ -58,10 +48,9 @@ void UdpServer::start(bool restart) {
 void UdpServer::on_killed() {
   // The dying process cannot send done-reports; queued receive frames go
   // straight back to their owning pool.  In-flight descriptors leak,
-  // bounded per crash.
+  // bounded per crash (UdpEngine's destructor).
   fastpath_.reset();  // held frames (pending PF verdicts) back to the pool
   drop_engine(engine_);
-  pending_tx_.clear();
 }
 
 void UdpServer::store_state(sim::Context& ctx) {
@@ -174,15 +163,9 @@ void UdpServer::handle_sock_request(
 void UdpServer::on_message(const std::string& from, const chan::Message& m,
                            sim::Context& ctx) {
   switch (m.opcode) {
-    case kIpTxDone: {
-      auto it = pending_tx_.find(m.req_id);
-      if (it != pending_tx_.end()) {
-        pool_->release(it->second.desc);
-        pending_tx_.erase(it);
-      }
+    case kIpTxDone:
       engine_->seg_done(m.req_id, m.arg0 != 0);
       return;
-    }
     case kShardRepSock: {
       // Replica records live only in the engine: restarts rebuild them
       // from the siblings' re-seed, never from storage, so there is no
@@ -208,16 +191,19 @@ void UdpServer::on_message(const std::string& from, const chan::Message& m,
 void UdpServer::on_peer_up(const std::string& peer, bool restarted,
                            sim::Context& ctx) {
   if (peer == kIpName && restarted) {
-    // Resubmit in-flight datagrams: we prefer duplicates over losses
-    // (Section V-D "UDP").
-    for (auto& [cookie, pending] : pending_tx_) {
-      chan::Message m;
-      m.opcode = kIpTx;
-      m.req_id = cookie;
-      m.ptr = pending.desc;
-      m.arg0 = pending.arg0;
-      m.arg1 = net::kProtoUdp;
-      send_to(kIpName, m, ctx);
+    // Resubmit in-flight datagrams, oldest first: we prefer duplicates over
+    // losses (Section V-D "UDP").
+    if (engine_) {
+      engine_->for_each_in_flight(
+          [&](std::uint64_t cookie, const net::UdpEngine::InFlight& f) {
+            chan::Message m;
+            m.opcode = kIpTx;
+            m.req_id = cookie;
+            m.ptr = f.desc;
+            m.arg0 = pack_addrs(f.src, f.dst);
+            m.arg1 = net::kProtoUdp;
+            send_to(kIpName, m, ctx);
+          });
     }
     return;
   }

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/udp.h"
@@ -30,7 +29,7 @@ class UdpServer : public TransportServer {
   UdpServer(NodeEnv* env, sim::SimCore* core,
             std::function<net::Ipv4Addr(net::Ipv4Addr)> src_for,
             int shard = 0, int shard_count = 1);
-  // Teardown: releases engine queues and in-flight descriptors straight
+  // Teardown: releases the engine's queues and in-flight datagrams straight
   // into the pools (no handler context for done-reports).
   ~UdpServer() override;
 
@@ -64,11 +63,6 @@ class UdpServer : public TransportServer {
                       const std::string* only = nullptr);
 
   std::unique_ptr<net::UdpEngine> engine_;
-  struct PendingTx {
-    chan::RichPtr desc;
-    std::uint64_t arg0 = 0;  // src/dst for resubmission
-  };
-  std::unordered_map<std::uint64_t, PendingTx> pending_tx_;
 };
 
 }  // namespace newtos::servers

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <set>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -464,39 +466,187 @@ TEST(Queue, CountsFailures) {
 
 // --- Request database ------------------------------------------------------------------------
 
-TEST(RequestDb, CompleteReturnsCookie) {
-  RequestDb db;
-  const auto id = db.add("ip", 0xdead, {});
-  std::uint64_t cookie = 0;
-  EXPECT_TRUE(db.complete(id, &cookie));
-  EXPECT_EQ(cookie, 0xdeadu);
-  EXPECT_FALSE(db.complete(id));  // stale replies are rejected
-}
+namespace {
 
-TEST(RequestDb, AbortPeerRunsActionsInOrder) {
-  RequestDb db;
-  std::vector<std::uint64_t> aborted;
-  auto record = [&](std::uint64_t, std::uint64_t cookie) {
-    aborted.push_back(cookie);
+// RequestDb against a reference model: a std::map from submission index to
+// the peer of each live request, so the map's own order is the submission
+// order every walk must follow.  Every id ever issued stays on record, so
+// takes of completed, aborted and reused-slot ids are checked too.
+class RequestDbModel {
+ public:
+  struct Req {
+    int peer = 0;
+    std::uint64_t k = 0;  // submission index
   };
-  db.add("ip", 1, record);
-  db.add("pf", 2, record);
-  db.add("ip", 3, record);
-  EXPECT_EQ(db.abort_peer("ip"), 2u);
-  EXPECT_EQ(aborted, (std::vector<std::uint64_t>{1, 3}));
-  EXPECT_EQ(db.size(), 1u);  // the pf request survives
-}
 
-TEST(RequestDb, AbortActionMayResubmit) {
-  RequestDb db;
-  int aborts = 0;
-  db.add("ip", 1, [&](std::uint64_t, std::uint64_t) {
-    ++aborts;
-    db.add("ip", 2, {});  // resubmission from within an abort action
-  });
-  EXPECT_EQ(db.abort_peer("ip"), 1u);
-  EXPECT_EQ(aborts, 1);
-  EXPECT_EQ(db.size(), 1u);
+  explicit RequestDbModel(std::uint64_t seed) : rng_(seed) {}
+
+  void step() {
+    switch (rng_.below(16)) {
+      case 0: case 1: case 2: case 3: case 4: case 5:
+        add(static_cast<int>(rng_.below(kPeers)));
+        break;
+      case 6: case 7: case 8:
+        take_live();
+        break;
+      case 9: case 10:
+        take_dead();
+        break;
+      case 11:
+        take_reused_slot();
+        break;
+      case 12:
+        EXPECT_EQ(db_.find(0), nullptr);
+        EXPECT_FALSE(db_.take(0).has_value());
+        break;
+      case 13: case 14:
+        abort_peer(static_cast<int>(rng_.below(kPeers)));
+        break;
+      default:
+        if (rng_.below(8) == 0) clear();
+        break;
+    }
+    check();
+  }
+
+  std::uint64_t reused_slot_takes() const { return reused_slot_takes_; }
+  std::uint64_t adds_from_aborts() const { return adds_from_aborts_; }
+  std::uint64_t clears() const { return clears_; }
+
+ private:
+  static constexpr int kPeers = 3;
+
+  void add(int peer) {
+    const std::uint64_t k = ids_.size();
+    const std::uint64_t id = db_.add(Req{peer, k});
+    EXPECT_NE(id, 0u);
+    // Never the id of a completed, aborted or live request.
+    EXPECT_TRUE(issued_.insert(id).second) << "id " << id << " reissued";
+    ids_.push_back(id);
+    ref_.emplace(k, peer);
+  }
+
+  // A random live request (ref_ must not be empty).
+  std::map<std::uint64_t, int>::iterator random_live() {
+    return std::next(ref_.begin(),
+                     static_cast<std::ptrdiff_t>(rng_.below(ref_.size())));
+  }
+
+  // Completes a live request; the payload must come back intact.
+  void take_live() {
+    if (ref_.empty()) return;
+    const auto it = random_live();
+    const auto [k, peer] = *it;
+    const auto got = db_.take(ids_[k]);
+    ASSERT_TRUE(got.has_value()) << "submission " << k;
+    EXPECT_EQ(got->k, k);
+    EXPECT_EQ(got->peer, peer);
+    ref_.erase(it);
+    retire(k);
+  }
+
+  // A reply for a request that already completed or was aborted.
+  void take_dead() {
+    if (dead_.empty()) return;
+    const std::uint64_t k = dead_[rng_.below(dead_.size())];
+    EXPECT_EQ(db_.find(ids_[k]), nullptr) << "submission " << k;
+    EXPECT_FALSE(db_.take(ids_[k]).has_value()) << "submission " << k;
+  }
+
+  // A stale id whose slot now holds a live request: it must find nothing,
+  // and the live request must stay.
+  void take_reused_slot() {
+    if (ref_.empty()) return;
+    const std::uint64_t k = random_live()->first;
+    const auto it = retired_.find(static_cast<std::uint32_t>(ids_[k]));
+    if (it == retired_.end()) return;
+    const std::uint64_t stale = it->second[rng_.below(it->second.size())];
+    EXPECT_NE(ids_[stale], ids_[k]);
+    EXPECT_FALSE(db_.take(ids_[stale]).has_value());
+    const Req* live = db_.find(ids_[k]);
+    ASSERT_NE(live, nullptr);
+    EXPECT_EQ(live->k, k);
+    ++reused_slot_takes_;
+  }
+
+  // Aborts everything addressed to `peer`; some actions resubmit, which
+  // must not be aborted by the same call.
+  void abort_peer(int peer) {
+    std::vector<std::uint64_t> expected;
+    for (const auto& [k, p] : ref_) {
+      if (p == peer) expected.push_back(k);
+    }
+    std::vector<std::uint64_t> order;
+    const std::size_t n = db_.abort_if(
+        [peer](const Req& r) { return r.peer == peer; },
+        [&](std::uint64_t id, Req&& r) {
+          EXPECT_EQ(id, ids_[r.k]);
+          EXPECT_EQ(db_.find(id), nullptr);  // gone before its action runs
+          order.push_back(r.k);
+          if (rng_.below(3) == 0) {
+            add(peer);
+            ++adds_from_aborts_;
+          }
+        });
+    EXPECT_EQ(n, expected.size());
+    EXPECT_EQ(order, expected) << "aborts out of submission order";
+    for (const std::uint64_t k : expected) {
+      ref_.erase(k);
+      retire(k);
+    }
+  }
+
+  void clear() {
+    db_.clear();
+    for (const auto& [k, peer] : ref_) retire(k);
+    ref_.clear();
+    ++clears_;
+  }
+
+  void retire(std::uint64_t k) {
+    dead_.push_back(k);
+    retired_[static_cast<std::uint32_t>(ids_[k])].push_back(k);
+  }
+
+  // size() and the submission-order walk against the model.
+  void check() {
+    EXPECT_EQ(db_.size(), ref_.size());
+    std::vector<std::uint64_t> walked;
+    db_.for_each([&](std::uint64_t id, const Req& r) {
+      EXPECT_EQ(id, ids_[r.k]);
+      walked.push_back(r.k);
+    });
+    std::vector<std::uint64_t> live;
+    for (const auto& [k, peer] : ref_) live.push_back(k);
+    EXPECT_EQ(walked, live) << "walk out of submission order";
+  }
+
+  newtos::sim::Rng rng_;
+  RequestDb<Req> db_;
+  std::map<std::uint64_t, int> ref_;  // live: submission index -> peer
+  std::vector<std::uint64_t> ids_;    // by submission index
+  std::set<std::uint64_t> issued_;
+  std::vector<std::uint64_t> dead_;   // completed, aborted or cleared
+  // slot (low 32 bits of an id) -> submissions that died in it
+  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> retired_;
+  std::uint64_t reused_slot_takes_ = 0;
+  std::uint64_t adds_from_aborts_ = 0;
+  std::uint64_t clears_ = 0;
+};
+
+}  // namespace
+
+TEST(RequestDb, MatchesReferenceModel) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    RequestDbModel model(seed);
+    for (int op = 0; op < 5000 && !HasFailure(); ++op) model.step();
+    // The run covered what the model is for.
+    EXPECT_GT(model.reused_slot_takes(), 0u);
+    EXPECT_GT(model.adds_from_aborts(), 0u);
+    EXPECT_GT(model.clears(), 0u);
+    if (HasFailure()) break;
+  }
 }
 
 // --- Registry / channel manager ------------------------------------------------------------------

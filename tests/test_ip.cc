@@ -63,8 +63,10 @@ struct Host {
     env.hdr_pool = hdr_pool;
     env.rx_pool = rx_pool;
     env.csum_offload = false;  // software path: real checksums on the wire
-    env.send_frame = [this](int ifindex, TxFrame&& f, std::uint64_t cookie) {
-      wire.push_back(SentFrame{ifindex, std::move(f), cookie});
+    env.send_frame = [this](int ifindex, const TxFrame& f,
+                            std::uint64_t cookie) {
+      wire.push_back(SentFrame{ifindex, f, cookie});
+      return chan::RichPtr{};
     };
     if (with_pf) {
       env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {
@@ -73,8 +75,8 @@ struct Host {
     }
     env.deliver_tcp = [this](L4Packet&& p) { to_tcp.push_back(p); };
     env.deliver_udp = [this](L4Packet&& p) { to_udp.push_back(p); };
-    env.seg_done = [this](std::uint64_t c, bool ok) {
-      seg_done.push_back({c, ok});
+    env.seg_done = [this](const L4Req& req, bool ok) {
+      seg_done.push_back({req.id, ok});
     };
 
     IpConfig cfg;
@@ -132,6 +134,14 @@ struct Host {
     ip->input(0, frame);
   }
 
+  // The TCP destination port of a data frame sent to the driver.
+  std::uint16_t dport_of(const SentFrame& f) const {
+    auto bytes = pools.read(f.frame.header);
+    ByteReader r{bytes.subspan(kEthHeaderLen + kIpHeaderLen)};
+    r.u16();  // source port
+    return r.u16();
+  }
+
   // Builds an inbound ICMP echo request frame.
   chan::RichPtr make_ping(Ipv4Addr from, std::uint16_t id,
                           std::uint32_t payload_len) {
@@ -172,7 +182,7 @@ struct Host {
 
 TEST(Ip, OnLinkDestinationResolvedViaArpThenSent) {
   Host h;
-  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2)), 1);
+  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2)), L4Req{0, 1});
   // First thing on the wire: an ARP request (broadcast), not our data.
   ASSERT_EQ(h.wire.size(), 1u);
   auto bytes = h.pools.read(h.wire[0].frame.header);
@@ -198,7 +208,7 @@ TEST(Ip, OnLinkDestinationResolvedViaArpThenSent) {
 
 TEST(Ip, OffLinkDestinationUsesGatewayMac) {
   Host h;
-  h.ip->output(h.make_seg(Ipv4Addr(192, 168, 7, 7)), 1);
+  h.ip->output(h.make_seg(Ipv4Addr(192, 168, 7, 7)), L4Req{0, 1});
   h.answer_arp(Ipv4Addr(10, 1, 0, 254), MacAddr::local(42));
   ASSERT_EQ(h.wire.size(), 2u);
   auto data = h.pools.read(h.wire[1].frame.header);
@@ -216,7 +226,7 @@ TEST(Ip, NoRouteFailsSegment) {
   IpConfig cfg = h.ip->config();
   cfg.routes.clear();
   h.ip->set_config(cfg);
-  h.ip->output(h.make_seg(Ipv4Addr(192, 168, 7, 7)), 55);
+  h.ip->output(h.make_seg(Ipv4Addr(192, 168, 7, 7)), L4Req{0, 55});
   ASSERT_EQ(h.seg_done.size(), 1u);
   EXPECT_EQ(h.seg_done[0].first, 55u);
   EXPECT_FALSE(h.seg_done[0].second);
@@ -225,7 +235,7 @@ TEST(Ip, NoRouteFailsSegment) {
 
 TEST(Ip, SoftwareChecksumIsCorrectOnWire) {
   Host h;
-  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2), 80, 64), 1);
+  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2), 80, 64), L4Req{0, 1});
   h.answer_arp(Ipv4Addr(10, 1, 0, 2), MacAddr::local(7));
   ASSERT_EQ(h.wire.size(), 2u);
   // Verify the TCP checksum over pseudo-header + header + payload is valid.
@@ -243,7 +253,7 @@ TEST(Ip, SoftwareChecksumIsCorrectOnWire) {
 
 TEST(Ip, TxDoneCompletesAndFreesHeader) {
   Host h;
-  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2)), 9);
+  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2)), L4Req{0, 9});
   h.answer_arp(Ipv4Addr(10, 1, 0, 2), MacAddr::local(7));
   const std::size_t live_before = h.hdr_pool->chunks_live();
   // Two pending: the ARP request (internal) and our data frame.
@@ -261,21 +271,30 @@ TEST(Ip, TxDoneCompletesAndFreesHeader) {
 
 TEST(Ip, ResubmitTxAfterDriverCrash) {
   Host h;
-  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2)), 9);
+  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2), 1000), L4Req{0, 1});
   h.answer_arp(Ipv4Addr(10, 1, 0, 2), MacAddr::local(7));
-  ASSERT_EQ(h.wire.size(), 2u);
-  // Both un-acked frames are resubmitted: the ARP request and the data
-  // frame ("in case of doubt, we prefer to send a few duplicates").
-  EXPECT_EQ(h.ip->resubmit_tx(0), 2u);
-  ASSERT_EQ(h.wire.size(), 4u);
-  // The data frame is among the resubmissions, with its original cookie.
-  EXPECT_TRUE(h.wire[2].cookie == h.wire[1].cookie ||
-              h.wire[3].cookie == h.wire[1].cookie);
+  for (std::uint16_t i = 1; i < 8; ++i) {
+    h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2), 1000 + i),
+                 L4Req{0, 1u + i});
+  }
+  // The ARP request (internal) and eight data frames await the driver.
+  ASSERT_EQ(h.wire.size(), 9u);
+  // All nine un-acked frames are resubmitted with their original cookies,
+  // oldest first ("in case of doubt, we prefer to send a few duplicates").
+  EXPECT_EQ(h.ip->resubmit_tx(0), 9u);
+  ASSERT_EQ(h.wire.size(), 18u);
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(h.wire[9 + i].cookie, h.wire[i].cookie) << "resend " << i;
+  }
+  // So the segments reach the wire again in the order they were sent.
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(h.dport_of(h.wire[10 + i]), 1000 + i) << "resend " << i + 1;
+  }
 }
 
 TEST(Ip, PfOutVerdictGatesTransmission) {
   Host h(/*with_pf=*/true);
-  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2), 8080), 1);
+  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2), 8080), L4Req{0, 1});
   ASSERT_EQ(h.pf_queries.size(), 1u);
   EXPECT_EQ(h.pf_queries[0].first.dir, PfDir::Out);
   EXPECT_EQ(h.pf_queries[0].first.dport, 8080);
@@ -290,16 +309,35 @@ TEST(Ip, PfOutVerdictGatesTransmission) {
 
 TEST(Ip, PfPendingResubmittedAfterPfCrash) {
   Host h(/*with_pf=*/true);
-  h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2)), 1);
-  ASSERT_EQ(h.pf_queries.size(), 1u);
-  // PF died before answering; on its restart IP repeats the query.
-  EXPECT_EQ(h.ip->resubmit_pf_pending(), 1u);
-  ASSERT_EQ(h.pf_queries.size(), 2u);
-  EXPECT_EQ(h.pf_queries[1].second, h.pf_queries[0].second);
-  // The (single) verdict releases the packet: no loss, no duplicate.
-  h.ip->pf_verdict(h.pf_queries[0].second, true);
-  h.ip->pf_verdict(h.pf_queries[1].second, true);  // stale duplicate ignored
-  EXPECT_EQ(h.ip->stats().tx_segs, 1u);
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    h.ip->output(h.make_seg(Ipv4Addr(10, 1, 0, 2), 1000 + i),
+                 L4Req{0, 1u + i});
+  }
+  ASSERT_EQ(h.pf_queries.size(), 8u);
+  // PF died before answering; when it is back IP repeats every query with
+  // its original cookie, oldest first.
+  EXPECT_EQ(h.ip->resubmit_pf_pending(), 8u);
+  ASSERT_EQ(h.pf_queries.size(), 16u);
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(h.pf_queries[8 + i].second, h.pf_queries[i].second)
+        << "resend " << i;
+    EXPECT_EQ(h.pf_queries[8 + i].first.dport, 1000 + i) << "resend " << i;
+  }
+  // The new PF answers in the order it was asked; the answers to the lost
+  // queries are stale duplicates and ignored.
+  for (std::size_t i = 8; i < 16; ++i) {
+    h.ip->pf_verdict(h.pf_queries[i].second, true);
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    h.ip->pf_verdict(h.pf_queries[i].second, true);
+  }
+  // Every segment reaches the wire once, in the order it was sent.
+  h.answer_arp(Ipv4Addr(10, 1, 0, 2), MacAddr::local(7));
+  ASSERT_EQ(h.wire.size(), 9u);  // the ARP request, then the data
+  for (std::uint16_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(h.dport_of(h.wire[1 + i]), 1000 + i) << "segment " << i;
+  }
+  EXPECT_TRUE(h.seg_done.empty());
 }
 
 TEST(Ip, IcmpEchoAnswered) {

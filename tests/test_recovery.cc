@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/apps.h"
@@ -189,6 +190,52 @@ TEST(Recovery, PfCrashIsLossless) {
   EXPECT_EQ(rig.ssh.resets(), 0u);
   EXPECT_TRUE(rig.ssh.connected());
 }
+
+// One bulk flow INTO the system under test across a PF crash, with a short
+// and a long rule set.  The frames whose verdicts died with PF wait in IP,
+// and IP sends their queries again once the new PF announces, oldest first
+// and ahead of any query raised meanwhile.  The receiver has no reassembly,
+// so a frame released out of order would cost the rest of the window: the
+// flow must see no out-of-order drop, no retransmission and no RTO.
+class PfCrashIsLosslessInbound : public ::testing::TestWithParam<int> {};
+
+TEST_P(PfCrashIsLosslessInbound, NothingReordered) {
+  TestbedOptions opts = default_opts();
+  opts.pf_filler_rules = GetParam();
+  Testbed tb(opts);
+  apps::BulkReceiver::Config rx_cfg;
+  rx_cfg.record_series = false;
+  apps::BulkReceiver receiver(tb.newtos(), tb.newtos().add_app("iperf_rx"),
+                              rx_cfg);
+  apps::BulkSender::Config tx_cfg;
+  tx_cfg.dst = tb.peer().peer_addr(0);
+  apps::BulkSender sender(tb.peer(), tb.peer().add_app("iperf_tx"), tx_cfg);
+  receiver.start();
+  sender.start();
+  FaultInjector faults(tb.newtos(), /*seed=*/7);
+  faults.inject_at(2 * sim::kSecond, servers::kPfName, FaultType::Crash);
+
+  tb.run_until(2 * sim::kSecond);
+  const std::uint64_t before = receiver.bytes();
+  tb.run_until(3 * sim::kSecond);
+  auto* pf = static_cast<servers::PfServer*>(
+      tb.newtos().server(servers::kPfName));
+  ASSERT_TRUE(pf->alive());
+  EXPECT_GT(receiver.bytes(), before);  // the flow ran across the crash
+
+  auto* tcp = static_cast<servers::TcpServer*>(
+      tb.newtos().server(servers::kTcpName));
+  EXPECT_EQ(tcp->engine()->stats().ooo_dropped, 0u);
+  const auto& peer = tb.peer().stack_server()->tcp_engine()->stats();
+  EXPECT_EQ(peer.bytes_retx, 0u);
+  EXPECT_EQ(peer.rtos, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Recovery, PfCrashIsLosslessInbound,
+                         ::testing::Values(64, 1024),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "rules" + std::to_string(info.param);
+                         });
 
 TEST(Recovery, IpCrashRecoversTransparently) {
   Rig rig(default_opts());

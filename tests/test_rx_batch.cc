@@ -112,11 +112,13 @@ struct GroHost {
     env.pools = &pools;
     env.hdr_pool = hdr_pool;
     env.rx_pool = rx_pool;
-    env.send_frame = [](int, TxFrame&&, std::uint64_t) {};
+    env.send_frame = [](int, const TxFrame&, std::uint64_t) {
+      return chan::RichPtr{};
+    };
     env.deliver_tcp = [this](L4Packet&& pkt) { up(pkt); };
     env.deliver_udp = [](L4Packet&&) {};
     env.deliver_tcp_agg = [this](L4AggPacket&& a) { up(std::move(a)); };
-    env.seg_done = [](std::uint64_t, bool) {};
+    env.seg_done = [](const L4Req&, bool) {};
     if (pf == PfMode::kRecord) {
       env.pf_check = [this](const PfQuery& q, std::uint64_t cookie) {
         pf_queries.push_back({q, cookie});

@@ -87,7 +87,7 @@ class Harness {
     env.notify = [this, to_b](SockId s, TcpEvent ev) {
       (to_b ? a_events : b_events).push_back({s, ev});
     };
-    env.output = [this, to_b, self, peer](TxSeg&& seg, std::uint64_t cookie) {
+    auto wire = [this, to_b, self, peer](TxSeg&& seg, std::uint64_t cookie) {
       // "IP": build the L4 bytes into one rx chunk and deliver after a
       // short wire delay.  Sender header freed immediately via seg_done.
       TcpEngine& sender = to_b ? *a_ : *b_;
@@ -113,6 +113,11 @@ class Harness {
                    pkt.dst = peer;
                    receiver.input(std::move(pkt));
                  });
+    };
+    // Completed before returning: no descriptor to hand back.
+    env.output = [wire](TxSeg&& seg, std::uint64_t cookie) {
+      wire(std::move(seg), cookie);
+      return chan::RichPtr{};
     };
     return std::make_unique<TcpEngine>(std::move(env), opts);
   }

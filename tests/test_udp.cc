@@ -35,6 +35,7 @@ struct Host {
     env.output = [this](TxSeg&& seg, std::uint64_t cookie) {
       sent.push_back(std::move(seg));
       cookies.push_back(cookie);
+      return chan::RichPtr{};
     };
     udp = std::make_unique<UdpEngine>(std::move(env));
   }
