@@ -69,14 +69,14 @@ ScenarioResult run_dumbbell(const std::string& cc_a, const std::string& cc_b,
   // A tail drop displaces everything behind it: give both receivers a
   // reassembly budget covering the whole window so one hole costs one
   // retransmission, not the window.
-  opts.tcp_ooo_queue = 1024;
+  opts.tcp.ooo_queue_segs = 1024;
   // Without SACK, every hole in a loss burst takes one RTT to repair, so
   // keep congestion events small: exit slow start below the pipe size and
   // cap per-flow flight a little above the fair share of pipe + queue.
-  opts.tcp_ssthresh_init = 200 * 1024;
-  opts.tcp_buf_bytes = 1400 * 1024;
-  opts.tcp_cc_by_port = {{5001, cc_a}};
-  if (flows == 2) opts.tcp_cc_by_port.push_back({5002, cc_b});
+  opts.tcp.ssthresh_init = 200 * 1024;
+  opts.tcp.sndbuf_max = opts.tcp.rcvbuf_max = 1400 * 1024;
+  opts.tcp.cc_by_port = {{5001, cc_a}};
+  if (flows == 2) opts.tcp.cc_by_port.push_back({5002, cc_b});
   Testbed tb(opts);
 
   std::vector<std::unique_ptr<apps::BulkReceiver>> receivers;

@@ -29,7 +29,10 @@ class Writer {
   }
   void field(const std::string& key, int v) { raw(key, std::to_string(v)); }
   void field(const std::string& key, const std::string& v) {
-    raw(key, "\"" + escaped(v) + "\"");
+    std::string quoted = "\"";
+    quoted += escaped(v);
+    quoted += '"';
+    raw(key, std::move(quoted));
   }
 
   // Writes {"bench": ..., "rows": [...]}; false (with a note on stderr) if

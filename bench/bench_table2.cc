@@ -556,8 +556,8 @@ void rss_datapoint(benchjson::Writer& jw) {
       const auto& fs = tcp->fastpath()->stats();
       fast += fs.fast_frames;
       fallback += fs.fallback_frames;
-      per_shard += (per_shard.empty() ? "" : "/") +
-                   std::to_string(fs.fast_frames);
+      if (!per_shard.empty()) per_shard += '/';
+      per_shard += std::to_string(fs.fast_frames);
     }
     std::printf(
         "  rx_queues=%d:  %6.2f Gb/s aggregate   (fast %llu, fallback %llu"

@@ -3,38 +3,28 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <stdexcept>
 
 #include "src/core/socket_ring.h"
 #include "src/servers/driver_server.h"
 
 namespace newtos {
 
-const char* to_string(StackMode m) {
-  switch (m) {
-    case StackMode::kMinixSync: return "minix-sync";
-    case StackMode::kSplit: return "split";
-    case StackMode::kSplitSyscall: return "split+syscall";
-    case StackMode::kSingleServer: return "single-server+syscall";
-    case StackMode::kIdealMonolithic: return "ideal-monolithic";
-  }
-  return "?";
-}
-
 namespace {
 
 std::uint32_t g_mac_counter = 1;
 
-// Effective replica count for a split-stack transport: combined stacks
-// always run one engine pair, and the id encoding bounds the rest.
-int clamp_shards(int requested, bool split) {
-  if (!split || requested < 1) return 1;
-  return std::min(requested, net::kMaxTransportShards);
+NodeConfig validated(NodeConfig cfg) {
+  if (std::string error = cfg.validate(); !error.empty())
+    throw std::invalid_argument(error);
+  return cfg;
 }
 
 }  // namespace
 
+// The configuration is checked before any member that allocates is built.
 Node::Node(sim::Simulator& sim, NodeConfig cfg)
-    : sim_(sim), cfg_(std::move(cfg)), kernel_(&sim.costs()) {
+    : sim_(sim), cfg_(validated(std::move(cfg))), kernel_(&sim.costs()) {
   env_.sim = &sim_;
   env_.pools = &pools_;
   env_.registry = &registry_;
@@ -119,8 +109,8 @@ std::vector<net::PfRule> Node::make_rules() const {
     r.action = net::PfAction::Block;
     r.dir = net::PfDir::In;
     r.protocol = net::kProtoTcp;
-    r.dport = net::PortRange{static_cast<std::uint16_t>(40000 + k),
-                             static_cast<std::uint16_t>(40000 + k)};
+    const auto port = static_cast<std::uint16_t>(kPfFillerPortBase + k);
+    r.dport = net::PortRange{port, port};
     rules.push_back(r);
   }
   // Outbound traffic keeps state so replies pass without a rule walk.
@@ -143,18 +133,11 @@ sim::SimCore* Node::fresh_core(const std::string& name) {
 }
 
 void Node::build() {
-  // Multi-queue RSS is a split-stack feature: a combined stack has no
-  // per-shard replicas for the queues to home on.  The id encoding bounds
-  // the queue count the same way it bounds the shard count.
-  const int rx_queues =
-      cfg_.split_stack()
-          ? std::clamp(cfg_.rx_queues, 1, net::kMaxTransportShards)
-          : 1;
   for (int i = 0; i < cfg_.nics; ++i) {
     drv::SimNic::Config nc;
     nc.rx_coalesce_frames = cfg_.rx_coalesce_frames;
     nc.rx_coalesce_usecs = cfg_.rx_coalesce_usecs;
-    nc.rx_queues = rx_queues;
+    nc.rx_queues = cfg_.rx_queues;
     nics_.push_back(std::make_unique<drv::SimNic>(
         sim_, pools_, net::MacAddr::local(g_mac_counter++), nc));
   }
@@ -167,8 +150,6 @@ void Node::build() {
     return ip_cfg.interfaces.empty() ? net::Ipv4Addr{}
                                      : ip_cfg.interfaces.front().addr;
   };
-  std::vector<int> ifindexes;
-  for (int i = 0; i < cfg_.nics; ++i) ifindexes.push_back(i);
 
   auto rs = std::make_unique<servers::ReincarnationServer>(&env_,
                                                            fresh_core("rs"));
@@ -178,8 +159,11 @@ void Node::build() {
 
   const bool inline_drivers = cfg_.mode == StackMode::kIdealMonolithic;
 
-  const int tcp_shards = clamp_shards(cfg_.tcp_shards, !cfg_.combined_stack());
-  const int udp_shards = clamp_shards(cfg_.udp_shards, !cfg_.combined_stack());
+  const int tcp_shards = cfg_.tcp_shards;
+  const int udp_shards = cfg_.udp_shards;
+  net::TcpOptions tcp_opts = cfg_.tcp;
+  tcp_opts.tso = cfg_.tso;
+  tcp_opts.checkpoint = cfg_.tcp_checkpoint;
 
   // Storage clients depend on the arrangement.
   std::vector<std::string> store_clients;
@@ -199,7 +183,7 @@ void Node::build() {
   servers_.emplace(servers::kStoreName, std::move(store));
   boot_order_.push_back(servers::kStoreName);
 
-  const bool rss_fast = rx_queues > 1;
+  const bool rss_fast = cfg_.rx_queues > 1;
   if (!inline_drivers) {
     for (int i = 0; i < cfg_.nics; ++i) {
       const std::string name = servers::driver_name(i);
@@ -217,15 +201,9 @@ void Node::build() {
   if (cfg_.combined_stack()) {
     servers::StackServer::Config sc;
     sc.ip = ip_cfg;
-    sc.ifindexes = ifindexes;
     sc.rules = make_rules();
-    sc.tcp = cfg_.tcp;
-    sc.tcp.tso = cfg_.tso;
-    sc.tcp.cc_algo = cfg_.tcp_cc;
-    sc.tcp.cc_by_port = cfg_.tcp_cc_by_port;
-    sc.tcp.ooo_queue_segs = cfg_.tcp_ooo_queue;
+    sc.tcp = tcp_opts;
     sc.use_pf = cfg_.use_pf;
-    sc.csum_offload = cfg_.csum_offload;
     sc.inline_drivers = inline_drivers;
     std::vector<drv::SimNic*> nic_ptrs;
     for (auto& n : nics_) nic_ptrs.push_back(n.get());
@@ -249,27 +227,17 @@ void Node::build() {
     }
     servers::IpServer::Config ic;
     ic.ip = ip_cfg;
-    ic.ifindexes = ifindexes;
     ic.use_pf = cfg_.use_pf;
-    ic.csum_offload = cfg_.csum_offload;
     ic.tcp_shards = tcp_shards;
     ic.udp_shards = udp_shards;
     ic.gro = cfg_.gro;
-    ic.rx_queues = rx_queues;
+    ic.rx_queues = cfg_.rx_queues;
     auto ip = std::make_unique<servers::IpServer>(&env_, fresh_core("ip"),
                                                   ic);
     ip_ = ip.get();
     servers_.emplace(servers::kIpName, std::move(ip));
     boot_order_.push_back(servers::kIpName);
 
-    net::TcpOptions topts = cfg_.tcp;
-    topts.tso = cfg_.tso;
-    topts.cc_algo = cfg_.tcp_cc;
-    topts.cc_by_port = cfg_.tcp_cc_by_port;
-    topts.ooo_queue_segs = cfg_.tcp_ooo_queue;
-    // Transparent TCP recovery is a split-stack feature: a combined stack
-    // dies as one unit and takes its own storage/pool context with it.
-    topts.checkpoint = cfg_.tcp_checkpoint;
     // The per-shard receive context the drivers post to directly when the
     // NICs run multiple RSS queues.
     net::IpFastPath::Config fpc;
@@ -284,7 +252,7 @@ void Node::build() {
     for (int s = 0; s < tcp_shards; ++s) {
       const std::string name = servers::tcp_shard_name(s);
       auto tcp = std::make_unique<servers::TcpServer>(
-          &env_, fresh_core(name), topts, src_for, s, tcp_shards);
+          &env_, fresh_core(name), tcp_opts, src_for, s, tcp_shards);
       if (!driver_names.empty()) tcp->enable_rx_fastpath(fpc, driver_names);
       tcp_shards_.push_back(tcp.get());
       servers_.emplace(name, std::move(tcp));
@@ -525,15 +493,11 @@ net::UdpEngine* Node::udp_engine(int shard) const {
 }
 
 int Node::tcp_shard_count() const {
-  return stack_ != nullptr ? 1
-                           : std::max<int>(1, static_cast<int>(
-                                                  tcp_shards_.size()));
+  return stack_ != nullptr ? 1 : static_cast<int>(tcp_shards_.size());
 }
 
 int Node::udp_shard_count() const {
-  return stack_ != nullptr ? 1
-                           : std::max<int>(1, static_cast<int>(
-                                                  udp_shards_.size()));
+  return stack_ != nullptr ? 1 : static_cast<int>(udp_shards_.size());
 }
 
 servers::Server* Node::transport_server(char proto, int shard) const {

@@ -30,6 +30,8 @@ namespace newtos {
 
 class Node {
  public:
+  // Throws std::invalid_argument, with cfg.validate()'s message, for a
+  // configuration the node cannot build as written.
   Node(sim::Simulator& sim, NodeConfig cfg);
   ~Node();
 

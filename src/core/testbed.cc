@@ -47,32 +47,8 @@ void check_loan_leaks(Node& node) {
 }  // namespace
 
 Testbed::Testbed(const TestbedOptions& opts) {
-  NodeConfig left;
+  NodeConfig left = opts;
   left.name = "newtos";
-  left.mode = opts.mode;
-  left.nics = opts.nics;
-  left.tso = opts.tso;
-  left.csum_offload = opts.csum_offload;
-  left.use_pf = opts.use_pf;
-  left.pf_filler_rules = opts.pf_filler_rules;
-  left.app_write_size = opts.app_write_size;
-  left.cost_scale = opts.cost_scale;
-  left.tcp_shards = opts.tcp_shards;
-  left.udp_shards = opts.udp_shards;
-  left.rx_coalesce_frames = opts.rx_coalesce_frames;
-  left.rx_coalesce_usecs = opts.rx_coalesce_usecs;
-  left.gro = opts.gro;
-  left.rx_queues = opts.rx_queues;
-  left.tcp_checkpoint = opts.tcp_checkpoint;
-  left.supervision = opts.supervision;
-  left.tcp_cc = opts.tcp_cc;
-  left.tcp_cc_by_port = opts.tcp_cc_by_port;
-  left.tcp_ooo_queue = opts.tcp_ooo_queue;
-  left.tcp.ssthresh_init = opts.tcp_ssthresh_init;
-  if (opts.tcp_buf_bytes > 0) {
-    left.tcp.sndbuf_max = opts.tcp_buf_bytes;
-    left.tcp.rcvbuf_max = opts.tcp_buf_bytes;
-  }
   left.left = true;
 
   NodeConfig right;
@@ -80,17 +56,16 @@ Testbed::Testbed(const TestbedOptions& opts) {
   right.mode = StackMode::kIdealMonolithic;
   right.nics = opts.nics;
   right.tso = true;  // the peer is never the bottleneck
-  right.csum_offload = true;
   right.use_pf = false;
   right.cost_scale = 0.1;
   // The peer is usually the data receiver: it needs the same reassembly
-  // budget or a reordering wire would still look like loss to the sender.
-  right.tcp_ooo_queue = opts.tcp_ooo_queue;
-  right.tcp.ssthresh_init = opts.tcp_ssthresh_init;
-  if (opts.tcp_buf_bytes > 0) {
-    right.tcp.sndbuf_max = opts.tcp_buf_bytes;
-    right.tcp.rcvbuf_max = opts.tcp_buf_bytes;
-  }
+  // budget or a reordering wire would still look like loss to the sender,
+  // and the same ssthresh and buffer caps so either direction behaves the
+  // same.  Its congestion control stays the default.
+  right.tcp.ooo_queue_segs = opts.tcp.ooo_queue_segs;
+  right.tcp.ssthresh_init = opts.tcp.ssthresh_init;
+  right.tcp.sndbuf_max = opts.tcp.sndbuf_max;
+  right.tcp.rcvbuf_max = opts.tcp.rcvbuf_max;
   right.left = false;
 
   left_ = std::make_unique<Node>(sim_, left);

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/node.h"
@@ -15,51 +13,15 @@
 
 namespace newtos {
 
-struct TestbedOptions {
-  StackMode mode = StackMode::kSplitSyscall;
-  int nics = 1;
+// The system under test's NodeConfig plus the wire between the two hosts.
+// Testbed names the system under test "newtos" and puts it on the left of
+// every link; the peer's configuration is Testbed's own, except that it
+// mirrors the receive-side TCP settings (see testbed.cc).
+struct TestbedOptions : NodeConfig {
   double gbps = 1.0;
-  bool tso = false;
-  bool csum_offload = true;
-  bool use_pf = true;
-  int pf_filler_rules = 0;
   double loss = 0.0;
-  std::uint32_t app_write_size = 8192;
-  double cost_scale = 1.0;  // DUT cost scale (row 7 models a faster kernel)
-  // Sharded transport plane on the system under test (split modes only).
-  int tcp_shards = 1;
-  int udp_shards = 1;
-  // Receive-side batching on the system under test (default off: the
-  // classic per-frame RX path, byte for byte).
-  int rx_coalesce_frames = 0;
-  std::uint32_t rx_coalesce_usecs = 50;
-  bool gro = false;
-  // Multi-queue NIC RSS on the system under test (default 1: the classic
-  // single-queue RX path, byte for byte).
-  int rx_queues = 1;
-  // Transparent TCP recovery on the system under test (default off: the
-  // Table I trade-off — established connections die with the TCP server).
-  bool tcp_checkpoint = false;
-  // Supervision plane: probes to all component classes (silent-wedge
-  // auto-detection), slowdown SLO, NIC wedge watchdog, restart budgets
-  // (NodeConfig::supervision).
-  bool supervision = false;
   sim::Time wire_latency = 20 * sim::kMicrosecond;
   std::uint64_t seed = 42;
-  // Congestion control on the system under test ("newreno"|"cubic"|"bbr"),
-  // with optional per-port overrides so a dumbbell bench can mix flows.
-  std::string tcp_cc = "newreno";
-  std::vector<std::pair<std::uint16_t, std::string>> tcp_cc_by_port;
-  // Receiver-side reassembly budget (segments) — applied to BOTH nodes,
-  // since either side may be the data receiver.  Default 0: classic
-  // drop-and-dup-ACK receiver, byte for byte.
-  std::uint32_t tcp_ooo_queue = 0;
-  // Initial ssthresh (bytes; 0 = classic unbounded slow start) and an
-  // override for both nodes' snd/rcv buffer caps (0 = the 1 MB default) —
-  // the knobs a shallow-buffer WAN bench uses to keep SACK-less loss
-  // recovery out of the one-hole-per-RTT regime.
-  std::uint32_t tcp_ssthresh_init = 0;
-  std::uint32_t tcp_buf_bytes = 0;
   // WAN wire emulation (applied to every link; all off by default).
   double wire_bottleneck_gbps = 0.0;    // slow-hop rate; 0 = line rate
   std::uint32_t wire_queue_frames = 0;  // bottleneck FIFO bound; 0 = none
@@ -69,6 +31,7 @@ struct TestbedOptions {
 
 class Testbed {
  public:
+  // Throws std::invalid_argument when opts fail NodeConfig::validate().
   explicit Testbed(const TestbedOptions& opts);
   // Chunk-leak backstop for the lending data plane: aborts (in every build
   // type) when any pool on either node still has loans outstanding —

@@ -64,7 +64,12 @@ std::uint32_t ByteReader::u32() {
 
 MacAddr ByteReader::mac() {
   MacAddr m;
-  for (auto& b : m.bytes) b = u8();
+  if (pos_ + m.bytes.size() > buf_.size()) {
+    ok_ = false;
+    return m;
+  }
+  std::memcpy(m.bytes.data(), buf_.data() + pos_, m.bytes.size());
+  pos_ += m.bytes.size();
   return m;
 }
 

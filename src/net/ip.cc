@@ -13,8 +13,9 @@ namespace newtos::net {
 std::vector<std::byte> IpConfig::serialize() const {
   std::vector<std::byte> out;
   auto put32 = [&out](std::uint32_t v) {
-    const auto* p = reinterpret_cast<const std::byte*>(&v);
-    out.insert(out.end(), p, p + 4);
+    const std::size_t at = out.size();
+    out.resize(at + sizeof v);
+    std::memcpy(out.data() + at, &v, sizeof v);
   };
   put32(static_cast<std::uint32_t>(interfaces.size()));
   for (const auto& i : interfaces) {

@@ -1,6 +1,5 @@
 #include "src/servers/driver_server.h"
 
-#include <algorithm>
 #include <cstring>
 #include <span>
 
@@ -37,8 +36,8 @@ DriverServer::DriverServer(NodeEnv* env, sim::SimCore* core, drv::SimNic* nic,
 
 void DriverServer::enable_fast_path(int tcp_shards, int udp_shards) {
   fast_path_ = true;
-  tcp_shards_ = std::max(1, tcp_shards);
-  udp_shards_ = std::max(1, udp_shards);
+  tcp_shards_ = tcp_shards;
+  udp_shards_ = udp_shards;
 }
 
 std::string DriverServer::fast_target(

@@ -9,9 +9,9 @@ namespace newtos::servers {
 
 IpServer::IpServer(NodeEnv* env, sim::SimCore* core, Config cfg)
     : Server(env, kIpName, core), cfg_(std::move(cfg)) {
-  for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s)
+  for (int s = 0; s < cfg_.tcp_shards; ++s)
     l4_peers_.push_back(tcp_shard_name(s));
-  for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s)
+  for (int s = 0; s < cfg_.udp_shards; ++s)
     l4_peers_.push_back(udp_shard_name(s));
 }
 
@@ -59,7 +59,7 @@ void IpServer::build_engine() {
   e.pools = env().pools;
   e.hdr_pool = hdr_pool_;
   e.rx_pool = rx_pool_;
-  e.csum_offload = cfg_.csum_offload;
+  e.csum_offload = env().knobs.csum_offload;
   e.send_frame = [this](int ifindex, const net::TxFrame& frame,
                         std::uint64_t cookie) {
     sim::Context& ctx = cur();
@@ -98,8 +98,7 @@ void IpServer::build_engine() {
       sim::Context& ctx = cur();
       charge(ctx, 150);  // descriptor packing, same as the TX-side charge
       const int shard = net::steer_shard(agg.src, agg.dst, agg.sport,
-                                         agg.dport,
-                                         std::max(1, cfg_.tcp_shards));
+                                         agg.dport, cfg_.tcp_shards);
       std::vector<WireRxFrame> recs;
       recs.reserve(agg.segs.size());
       for (const auto& seg : agg.segs) {
@@ -179,7 +178,8 @@ void IpServer::start(bool restart) {
   std::vector<std::string> peers = l4_peers_;
   peers.push_back(kStoreName);
   if (cfg_.use_pf) peers.push_back(kPfName);
-  for (int ifindex : cfg_.ifindexes) peers.push_back(driver_name(ifindex));
+  for (const auto& ifc : cfg_.ip.interfaces)
+    peers.push_back(driver_name(ifc.index));
   // Supervision probes us directly (not just through a transport).
   if (env().knobs.supervision) peers.push_back(kRsName);
   for (const auto& p : peers) {
@@ -226,7 +226,7 @@ void IpServer::on_killed() {
 
 void IpServer::post_rx_buffers(int ifindex, sim::Context& ctx) {
   int& posted = posted_[ifindex];
-  const int target = kRxBuffersPerQueue * std::max(1, cfg_.rx_queues);
+  const int target = kRxBuffersPerQueue * cfg_.rx_queues;
   while (posted < target) {
     chan::RichPtr buf = rx_pool_->alloc(kRxBufSize);
     if (!buf.valid()) return;
@@ -267,7 +267,7 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       seg.src = unpack_hi(m.arg0);
       seg.dst = unpack_lo(m.arg0);
       seg.protocol = static_cast<std::uint8_t>(m.arg1);
-      if (!cfg_.csum_offload) {
+      if (!env().knobs.csum_offload) {
         charge(ctx, costs.checksum_cost(seg.total_len()));
       }
       engine_->output(
@@ -294,7 +294,8 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       auto it = posted_.find(ifindex);
       for (const auto& f : frames) {
         charge(ctx, costs.ip_packet_proc);
-        if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(f.length));
+        if (!env().knobs.csum_offload)
+          charge(ctx, costs.checksum_cost(f.length));
         if (it != posted_.end() && it->second > 0) --it->second;
       }
       if (cfg_.gro && frames.size() > 1) {
@@ -324,7 +325,8 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
       // driver, so posted_ bookkeeping stays untouched.
       charge(ctx, costs.ip_packet_proc);
       const int ifindex = static_cast<int>(m.arg1);
-      if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(m.ptr.length));
+      if (!env().knobs.csum_offload)
+        charge(ctx, costs.checksum_cost(m.ptr.length));
       engine_->input(ifindex, m.ptr);
       return;
     }
@@ -347,9 +349,9 @@ void IpServer::on_message(const std::string& from, const chan::Message& m,
         chan::Message up;
         up.opcode = kDrvLink;
         up.arg0 = 1;
-        for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s)
+        for (int s = 0; s < cfg_.tcp_shards; ++s)
           send_to(tcp_shard_name(s), up, ctx);
-        for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s)
+        for (int s = 0; s < cfg_.udp_shards; ++s)
           send_to(udp_shard_name(s), up, ctx);
       }
       return;
@@ -441,7 +443,7 @@ void IpServer::on_peer_up(const std::string& peer, bool restarted,
 
 void IpServer::on_peer_down(const std::string& peer, sim::Context& ctx) {
   (void)ctx;
-  for (int s = 0; s < std::max(1, cfg_.tcp_shards); ++s) {
+  for (int s = 0; s < cfg_.tcp_shards; ++s) {
     if (peer != tcp_shard_name(s)) continue;
     if (rx_pool_ != nullptr) {
       // The replica died and its queues were reset: frames an in-flight
@@ -455,7 +457,7 @@ void IpServer::on_peer_down(const std::string& peer, sim::Context& ctx) {
     }
     return;
   }
-  for (int s = 0; s < std::max(1, cfg_.udp_shards); ++s) {
+  for (int s = 0; s < cfg_.udp_shards; ++s) {
     if (peer != udp_shard_name(s)) continue;
     if (rx_pool_ != nullptr) {
       // UDP replicas borrow frames too once the RSS fast path posts

@@ -18,10 +18,8 @@ namespace newtos::servers {
 class IpServer : public Server {
  public:
   struct Config {
-    net::IpConfig ip;
-    std::vector<int> ifindexes;
+    net::IpConfig ip;  // one driver per interface, named by its index
     bool use_pf = true;
-    bool csum_offload = true;
     // Sharded transport plane: how many TCP/UDP replicas inbound frames
     // are steered across (by 4-tuple hash).  1 = the classic single pair.
     int tcp_shards = 1;

@@ -51,7 +51,8 @@ enum class IpcMode {
   kKernelSync,  // classic MINIX 3: trap + copy + context switch per message
 };
 
-// Per-node knobs the servers consult while charging costs.
+// Per-node knobs the servers consult while charging costs.  This is their
+// only home: no server Config repeats one of them.
 struct RuntimeKnobs {
   IpcMode ipc = IpcMode::kChannels;
   bool tso = false;

@@ -23,10 +23,8 @@ int StackServer::ifindex_of(const std::string& driver) {
 }
 
 drv::SimNic* StackServer::nic_of(int ifindex) {
-  for (std::size_t i = 0; i < cfg_.ifindexes.size(); ++i) {
-    if (cfg_.ifindexes[i] == ifindex && i < nics_.size()) return nics_[i];
-  }
-  return nullptr;
+  if (ifindex < 0 || ifindex >= static_cast<int>(nics_.size())) return nullptr;
+  return nics_[ifindex];
 }
 
 void StackServer::build_engines() {
@@ -41,7 +39,7 @@ void StackServer::build_engines() {
   ie.pools = env().pools;
   ie.hdr_pool = pool_;
   ie.rx_pool = rx_pool_;
-  ie.csum_offload = cfg_.csum_offload;
+  ie.csum_offload = env().knobs.csum_offload;
   ie.send_frame = [this](int ifindex, const net::TxFrame& frame,
                          std::uint64_t cookie) {
     sim::Context& ctx = cur();
@@ -120,7 +118,8 @@ void StackServer::build_engines() {
   te.output = [this, &costs](net::TxSeg&& seg, std::uint64_t cookie) {
     charge(cur(), costs.tcp_segment_proc + costs.ip_packet_proc +
                       env().knobs.legacy_per_packet);
-    if (!cfg_.csum_offload) charge(cur(), costs.checksum_cost(seg.total_len()));
+    if (!env().knobs.csum_offload)
+      charge(cur(), costs.checksum_cost(seg.total_len()));
     net::TxSeg s = std::move(seg);
     s.offload.tso = s.offload.tso && env().knobs.tso;
     ip_->output(std::move(s), net::L4Req{net::kProtoTcp, cookie});
@@ -140,7 +139,8 @@ void StackServer::build_engines() {
   ue.src_for = src_for;
   ue.output = [this, &costs](net::TxSeg&& seg, std::uint64_t cookie) {
     charge(cur(), costs.ip_packet_proc + env().knobs.legacy_per_packet);
-    if (!cfg_.csum_offload) charge(cur(), costs.checksum_cost(seg.total_len()));
+    if (!env().knobs.csum_offload)
+      charge(cur(), costs.checksum_cost(seg.total_len()));
     ip_->output(std::move(seg), net::L4Req{net::kProtoUdp, cookie});
     return chan::RichPtr{};
   };
@@ -153,9 +153,9 @@ void StackServer::build_engines() {
 
 void StackServer::install_inline_nic_handlers() {
   const std::uint32_t inc = incarnation();
-  for (std::size_t i = 0; i < nics_.size(); ++i) {
-    drv::SimNic* nic = nics_[i];
-    const int ifindex = cfg_.ifindexes[i];
+  for (const auto& ifc : cfg_.ip.interfaces) {
+    drv::SimNic* nic = nic_of(ifc.index);
+    const int ifindex = ifc.index;
     nic->set_tx_done([this, inc, nic, ifindex](std::uint64_t cookie,
                                                 bool ok) {
       if (incarnation() != inc) return;
@@ -236,7 +236,8 @@ void StackServer::start(bool restart) {
 
   std::vector<std::string> peers = {kStoreName, kSyscallName};
   if (!cfg_.inline_drivers) {
-    for (int ifindex : cfg_.ifindexes) peers.push_back(driver_name(ifindex));
+    for (const auto& ifc : cfg_.ip.interfaces)
+      peers.push_back(driver_name(ifc.index));
   }
   for (const auto& p : peers) {
     expose_in_queue(p, 1024);
@@ -247,7 +248,8 @@ void StackServer::start(bool restart) {
   if (cfg_.inline_drivers) {
     install_inline_nic_handlers();
     post_control([this](sim::Context& ctx) {
-      for (int ifindex : cfg_.ifindexes) post_rx_buffers(ifindex, ctx);
+      for (const auto& ifc : cfg_.ip.interfaces)
+        post_rx_buffers(ifc.index, ctx);
     });
   }
 
@@ -444,7 +446,8 @@ void StackServer::on_message(const std::string& from, const chan::Message& m,
       auto it = posted_.find(ifindex);
       for (const auto& f : rx_frames(m, *env().pools, burst)) {
         charge(ctx, costs.ip_packet_proc + env().knobs.legacy_per_packet);
-        if (!cfg_.csum_offload) charge(ctx, costs.checksum_cost(f.length));
+        if (!env().knobs.csum_offload)
+          charge(ctx, costs.checksum_cost(f.length));
         if (it != posted_.end() && it->second > 0) --it->second;
         if (ip_) ip_->input(ifindex, f);
       }

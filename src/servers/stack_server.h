@@ -30,17 +30,15 @@ namespace newtos::servers {
 class StackServer : public Server {
  public:
   struct Config {
-    net::IpConfig ip;
-    std::vector<int> ifindexes;
+    net::IpConfig ip;  // one driver (or inline NIC) per interface
     std::vector<net::PfRule> rules;
     net::TcpOptions tcp;
     bool use_pf = true;
-    bool csum_offload = true;
     bool inline_drivers = false;
   };
 
-  // `nics` is indexed by position in cfg.ifindexes; only used when
-  // inline_drivers is set.
+  // `nics` is indexed by interface index; only used when inline_drivers is
+  // set.
   StackServer(NodeEnv* env, sim::SimCore* core, Config cfg,
               std::vector<drv::SimNic*> nics);
   // Teardown: releases the transport engines' queues and in-flight chunks

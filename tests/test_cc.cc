@@ -307,7 +307,7 @@ TEST(CcWire, ReorderingAbsorbedByReassemblyNotRetransmit) {
   // Hold a reordered frame for ~1 frame time at 1 GbE: genuinely out of
   // order, but re-sequenced within the dup-ACK threshold.
   opts.wire_reorder_delay = 15 * sim::kMicrosecond;
-  opts.tcp_ooo_queue = 64;
+  opts.tcp.ooo_queue_segs = 64;
   Testbed tb(opts);
   Flow f = start_bulk(tb, 5001);
   tb.run_until(2 * sim::kSecond);
@@ -336,9 +336,9 @@ TEST(CcWire, BbrPacingKeepsBottleneckQueueShallow) {
   opts.wire_queue_frames = 512;
   opts.wire_latency = 5 * sim::kMillisecond;  // 10 ms RTT
   opts.app_write_size = 65536;
-  opts.tcp_ooo_queue = 1024;
-  opts.tcp_buf_bytes = 1400 * 1024;
-  opts.tcp_cc = "bbr";
+  opts.tcp.ooo_queue_segs = 1024;
+  opts.tcp.sndbuf_max = opts.tcp.rcvbuf_max = 1400 * 1024;
+  opts.tcp.cc_algo = "bbr";
   Testbed tb(opts);
   Flow f = start_bulk(tb, 5001);
   tb.run_until(5 * sim::kSecond);
@@ -373,7 +373,7 @@ TEST(CcCkpt, LearnedWindowSurvivesTcpServerCrash) {
   TestbedOptions opts;
   opts.mode = StackMode::kSplitSyscall;
   opts.tcp_checkpoint = true;
-  opts.tcp_cc = "cubic";
+  opts.tcp.cc_algo = "cubic";
   Testbed tb(opts);
   Flow f = start_bulk(tb, 5001);
   FaultInjector faults(tb.newtos(), /*seed=*/7);
