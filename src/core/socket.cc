@@ -375,7 +375,7 @@ void TcpSocket::submit_chain(std::vector<chan::RichPtr> pieces,
     SockSqe op;
     op.opcode = servers::kSockSend;
     op.proto = 'T';
-    op.payload = pieces[i];
+    op.ptr = pieces[i];
     if (i + 1 < n) {
       submit_ctl(op, [st, all_ok, len](const SockCqe& cqe) {
         st->inflight_tx -= std::min(st->inflight_tx, len);
@@ -654,7 +654,7 @@ void UdpSocket::submit(SendReservation res, net::Ipv4Addr dst,
   SockSqe op;
   op.opcode = servers::kSockSendTo;
   op.proto = 'U';
-  op.payload = payload;
+  op.ptr = payload;
   op.arg0 = dst.value;
   op.arg1 = port;
   submit_ctl(op, status_cb(std::move(cb)));

@@ -7,40 +7,22 @@
 
 namespace newtos {
 
-namespace {
-
-// Every submission path reuses the packed-op format of the channel
-// protocol; req_id carries the ring cookie for reply correlation.
-servers::WireSockOp to_wire(const SockSqe& op) {
-  servers::WireSockOp w;
-  w.opcode = op.opcode;
-  w.proto = static_cast<std::uint8_t>(op.proto);
-  w.sock = op.sock;
-  w.req_id = op.cookie;
-  w.arg0 = op.arg0;
-  w.arg1 = op.arg1;
-  w.ptr = op.payload;
-  return w;
-}
-
-}  // namespace
-
 SocketRing::SocketRing(Node& node, AppActor& app, std::size_t depth)
     : node_(node), app_(app), sq_(depth), cq_(depth) {}
 
 bool SocketRing::enqueue(SockSqe op, CompletionFn cb) {
-  op.cookie = next_cookie_++;
+  op.req_id = next_cookie_++;
   if (!sq_.try_push(op)) {
     // Full SQ: never block (Section IV-A).  The op fails with an error
     // completion and the application's retry policy takes over.
     ++sq_overflows_;
-    cbs_[op.cookie] = PendingCb{op.opcode, std::move(cb)};
+    cbs_[op.req_id] = PendingCb{op.opcode, std::move(cb)};
     fail(op);
     return false;
   }
-  cbs_[op.cookie] = PendingCb{op.opcode, std::move(cb)};
+  cbs_[op.req_id] = PendingCb{op.opcode, std::move(cb)};
   if (op.opcode == servers::kSockOpen) {
-    (op.proto == 'U' ? last_open_u_ : last_open_t_) = op.cookie;
+    (op.proto == 'U' ? last_open_u_ : last_open_t_) = op.req_id;
   }
   schedule_flush();
   return true;
@@ -86,20 +68,7 @@ void SocketRing::do_flush(sim::Context& ctx) {
   }
 
   if (cfg.has_syscall_server() && node_.syscall() != nullptr) {
-    std::vector<servers::SyscallServer::BatchOp> ops;
-    ops.reserve(batch.size());
-    for (const auto& sqe : batch) {
-      servers::SyscallServer::BatchOp op;
-      op.proto = sqe.proto;
-      op.request = servers::sock_op_message(to_wire(sqe));
-      const std::uint64_t cookie = sqe.cookie;
-      const std::uint16_t opcode = sqe.opcode;
-      op.deliver = [this, cookie, opcode](const chan::Message& r) {
-        on_reply(cookie, opcode, r.flags, r.socket, r.arg0);
-      };
-      ops.push_back(std::move(op));
-    }
-    node_.syscall()->submit_batch(std::move(ops));
+    node_.syscall()->submit_batch(std::move(batch), reply_);
     return;
   }
   route_direct(std::move(batch));
@@ -120,21 +89,9 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
     const sim::Cycles toll = cfg.mode == StackMode::kIdealMonolithic
                                  ? 0
                                  : costs.trap_cold - costs.trap_hot;
-    std::vector<servers::WireSockOp> wire;
-    wire.reserve(batch.size());
-    for (const auto& sqe : batch) wire.push_back(to_wire(sqe));
     stack->post_kernel_msg(
-        [this, stack, wire = std::move(wire)](sim::Context& sctx) {
-          servers::run_sock_batch(
-              wire, [&](char proto, const chan::Message& sm,
-                        const auto& note_open) {
-                stack->handle_sock_request(
-                    proto, sm, sctx, [&](const chan::Message& r) {
-                      note_open(r);
-                      on_reply(sm.req_id, sm.opcode, r.flags, r.socket,
-                               r.arg0);
-                    });
-              });
+        [this, stack, batch = std::move(batch)](sim::Context& sctx) {
+          stack->sock_batch(batch, sctx, reply_);
         },
         toll);
     return;
@@ -146,12 +103,9 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
   // context restore on the blocked app).  With a sharded plane the app
   // traps once per replica it targets; opens spread round-robin and every
   // later op follows the shard its socket id encodes.
-  std::vector<servers::WireSockOp> wire_all;
-  wire_all.reserve(batch.size());
-  for (const auto& sqe : batch) wire_all.push_back(to_wire(sqe));
   std::vector<int> shard_of(batch.size(), 0);
   servers::route_sock_shards(
-      wire_all, node_.tcp_shard_count(), node_.udp_shard_count(),
+      batch, node_.tcp_shard_count(), node_.udp_shard_count(),
       node_.direct_open_cursors(),
       [&](std::size_t i, int shard) { shard_of[i] = shard; },
       [&](char proto, int shard) {
@@ -176,42 +130,38 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
       }
       const sim::Cycles reply_toll =
           costs.trap_hot + costs.ipi + costs.mwait_wakeup;
-      std::vector<servers::WireSockOp> wire;
-      wire.reserve(idxs.size());
-      for (std::size_t i : idxs) wire.push_back(wire_all[i]);
+      std::vector<SockSqe> ops;
+      ops.reserve(idxs.size());
+      for (std::size_t i : idxs) ops.push_back(batch[i]);
       auto run = [this, srv, reply_toll,
-                  wire = std::move(wire)](sim::Context& sctx) {
-        servers::run_sock_batch(
-            wire, [&](char, const chan::Message& sm, const auto& note_open) {
-              srv->handle_sock_request(sm, sctx, [&](const chan::Message& r) {
-                note_open(r);
-                srv->cur().charge(reply_toll);
-                on_reply(sm.req_id, sm.opcode, r.flags, r.socket, r.arg0);
-              });
-            });
+                  ops = std::move(ops)](sim::Context& sctx) {
+        srv->sock_batch(ops, sctx, [&](const chan::Message& r) {
+          srv->cur().charge(reply_toll);
+          on_reply(r);
+        });
       };
       srv->post_kernel_msg(std::move(run), costs.trap_cold);
     }
   }
 }
 
-void SocketRing::on_reply(std::uint64_t cookie, std::uint16_t opcode,
-                          std::uint16_t flags, std::uint32_t sock,
-                          std::uint64_t arg0) {
+void SocketRing::on_reply(const chan::Message& r) {
+  const auto it = cbs_.find(r.req_id);
+  if (it == cbs_.end()) return;  // settled already
   SockCqe c;
-  c.cookie = cookie;
-  c.opcode = opcode;
-  c.sock = sock;
-  c.value = arg0;
-  c.ok = (flags & 1) == 0 &&
-         (opcode == servers::kSockClose || arg0 != 0);
+  c.cookie = r.req_id;
+  c.opcode = it->second.opcode;
+  c.sock = r.socket;
+  c.value = r.arg0;
+  c.ok = (r.flags & 1) == 0 &&
+         (c.opcode == servers::kSockClose || r.arg0 != 0);
   c.err = c.ok ? kSockOk : kSockERejected;
   push_cqe(c);
 }
 
 void SocketRing::fail_local(SockSqe op, CompletionFn cb, std::uint16_t err) {
-  op.cookie = next_cookie_++;
-  cbs_[op.cookie] = PendingCb{op.opcode, std::move(cb)};
+  op.req_id = next_cookie_++;
+  cbs_[op.req_id] = PendingCb{op.opcode, std::move(cb)};
   fail(op, err);
 }
 
@@ -219,9 +169,9 @@ void SocketRing::fail(const SockSqe& op, std::uint16_t err) {
   // The op never reached a transport: hand any pre-allocated payload back
   // to its pool (the engine only takes ownership once the op executes).
   // Forwarded payloads are sub-ranges; the registry resolves the owner.
-  node_.pools().release(op.payload);
+  node_.pools().release(op.ptr);
   SockCqe c;
-  c.cookie = op.cookie;
+  c.cookie = op.req_id;
   c.opcode = op.opcode;
   c.sock = op.sock;
   c.ok = false;

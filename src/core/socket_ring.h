@@ -24,6 +24,7 @@
 
 #include "src/chan/rich_ptr.h"
 #include "src/chan/spsc_ring.h"
+#include "src/servers/proto.h"
 #include "src/sim/sim.h"
 
 namespace newtos {
@@ -31,16 +32,11 @@ namespace newtos {
 class AppActor;
 class Node;
 
-// One submission-queue entry: a socket control op.
-struct SockSqe {
-  std::uint16_t opcode = 0;  // servers::kSockOpen..kSockClose
-  char proto = 'T';
-  std::uint32_t sock = 0;    // 0 / kSockFromBatchOpen / socket id
-  std::uint64_t arg0 = 0;
-  std::uint64_t arg1 = 0;
-  chan::RichPtr payload;     // exported-buffer chunk for send/sendto
-  std::uint64_t cookie = 0;  // assigned by enqueue()
-};
+// One submission-queue entry: a socket control op, the same record that
+// travels to the transports and into the engine call.  enqueue() assigns
+// req_id (the ring's cookie); ptr is the exported-buffer chunk of a
+// send/sendto; sock may be servers::kSockFromBatchOpen.
+using SockSqe = servers::WireSockOp;
 
 // Why a completion failed (SockCqe::err).  ENOBUFS-style conditions are
 // distinguishable so applications can apply backpressure instead of
@@ -120,10 +116,10 @@ class SocketRing {
   void schedule_flush();
   void do_flush(sim::Context& ctx);
   void route_direct(std::vector<SockSqe> batch);
-  // Reply paths: convert a kSockReply into a CQE and queue it for the next
-  // CQ drain (one kernel message back into the app covers all of them).
-  void on_reply(std::uint64_t cookie, std::uint16_t opcode,
-                std::uint16_t flags, std::uint32_t sock, std::uint64_t arg0);
+  // The one reply path: converts a kSockReply (req_id = our cookie) into a
+  // CQE and queues it for the next CQ drain (one kernel message back into
+  // the app covers all of them).
+  void on_reply(const chan::Message& r);
   void fail(const SockSqe& op, std::uint16_t err = kSockERejected);
   void push_cqe(const SockCqe& cqe);
   void drain_cq();
@@ -133,6 +129,9 @@ class SocketRing {
   chan::SpscRing<SockSqe> sq_;
   chan::SpscRing<SockCqe> cq_;
   std::map<std::uint64_t, PendingCb> cbs_;
+  const servers::SockReplyFn reply_ = [this](const chan::Message& r) {
+    on_reply(r);
+  };
   std::uint64_t next_cookie_ = 1;
   std::uint64_t flush_watermark_ = 1;
   std::uint64_t last_open_t_ = 0;

@@ -4,7 +4,8 @@
 // referenced through rich pointers into shared pools.  The flows mirror
 // Figure 3 of the paper:
 //
-//   app/SYSCALL -> TCP/UDP : socket control (open/bind/send/...)
+//   app/SYSCALL -> TCP/UDP : socket control: kSockBatch (packed WireSockOp
+//                            records) / one kSockReply per op back
 //   TCP/UDP -> IP          : kIpTx (packed chain) / kIpTxDone back
 //   IP <-> PF              : kPfCheck / kPfVerdict
 //   IP <-> DRV             : kDrvTx(+Done), kDrvRx, kDrvRxBuf, kDrvLink
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -90,12 +92,13 @@ enum Opcode : std::uint16_t {
   kSockSendTo,      // socket; ptr=payload; arg0=addr; arg1=port  (UDP)
   kSockClose,       // socket
   kSockReply,       // req_id matches request; arg0=status/value
-  kSockEvent,       // socket; arg0=TcpEvent
-  kSockBatch,       // ptr=packed WireSockOp array; arg0=op count.  One
+  kSockBatch = 69,  // ptr=packed WireSockOp array; arg0=op count.  One
                     // submission-queue flush travels as one message: the
                     // single trap the application paid covers every op.
                     // The submitter holds one chunk reference per op and
                     // drops it as that op's reply (or abort) comes back.
+                    // The only way socket ops enter a server over a
+                    // channel; kSockOpen..kSockClose name the op inside.
 
   // --- PF state rebuild ---------------------------------------------------------------
   kConnList = 80,     // req_id
@@ -273,11 +276,15 @@ inline constexpr std::uint32_t transport_borrower(char proto, int shard) {
 
 // --- batched socket submissions (kSockBatch) ---------------------------------------
 //
-// Applications queue socket ops into a per-app submission ring; one doorbell
+// A socket control op is one WireSockOp record all the way from the
+// application's submission ring to the engine call (src/servers/sock_exec.h).
+// Applications queue ops into a per-app submission ring; one doorbell
 // flushes the whole batch.  Over channels the batch travels as a packed
-// array of WireSockOp records referenced by a kSockBatch message.  Ops are
-// executed strictly in array order, so a later op may name the socket a
-// kSockOpen earlier in the same batch is about to create (kSockFromBatchOpen).
+// array of WireSockOp records referenced by a kSockBatch message; on the
+// direct paths the kernel message of the trap carries it.  Either way a
+// server takes the ops as one span.  Ops are executed strictly in array
+// order, so a later op may name the socket a kSockOpen earlier in the same
+// batch is about to create (kSockFromBatchOpen).
 
 // Sentinel socket id: "the socket opened by the nearest preceding kSockOpen
 // of the same protocol in this batch".
@@ -295,47 +302,22 @@ struct WireSockOp {
 };
 static_assert(std::is_trivially_copyable_v<WireSockOp>);
 
-inline chan::Message sock_op_message(const WireSockOp& op) {
-  chan::Message m;
-  m.opcode = op.opcode;
-  m.socket = op.sock;
-  m.req_id = op.req_id;
-  m.arg0 = op.arg0;
-  m.arg1 = op.arg1;
-  m.ptr = op.ptr;
-  if (op.proto == 'U') m.flags |= 2;
-  return m;
-}
-
-inline WireSockOp sock_op_from_message(char proto, const chan::Message& m) {
-  WireSockOp op;
-  op.opcode = m.opcode;
-  op.proto = static_cast<std::uint8_t>(proto);
-  op.sock = m.socket;
-  op.req_id = m.req_id;
-  op.arg0 = m.arg0;
-  op.arg1 = m.arg1;
-  op.ptr = m.ptr;
-  return op;
-}
+// Where a server hands each op's kSockReply (its req_id is the op's).
+using SockReplyFn = std::function<void(const chan::Message&)>;
 
 // Runs every op of a batch in array order, resolving the in-batch open
-// sentinel per protocol.  `handle(proto, msg, note_open)` must execute the
-// op and invoke `note_open(reply)` synchronously from its reply path so
-// later sentinel ops see the socket the open created.
-template <typename HandleFn>
-inline void run_sock_batch(std::span<const WireSockOp> ops,
-                           HandleFn&& handle) {
+// sentinel per protocol.  `exec(op)` applies one op, sentinel resolved, and
+// returns its kSockReply; an open's reply names the socket later sentinel
+// ops of its protocol stand for.
+template <typename ExecFn>
+inline void run_sock_batch(std::span<const WireSockOp> ops, ExecFn&& exec) {
   std::uint32_t open_t = 0;
   std::uint32_t open_u = 0;
-  for (const auto& op : ops) {
-    const char proto = static_cast<char>(op.proto);
-    chan::Message sm = sock_op_message(op);
-    std::uint32_t& batch_open = proto == 'U' ? open_u : open_t;
-    if (sm.socket == kSockFromBatchOpen) sm.socket = batch_open;
-    handle(proto, sm, [&batch_open, &sm](const chan::Message& r) {
-      if (sm.opcode == kSockOpen) batch_open = r.socket;
-    });
+  for (WireSockOp op : ops) {
+    std::uint32_t& batch_open = op.proto == 'U' ? open_u : open_t;
+    if (op.sock == kSockFromBatchOpen) op.sock = batch_open;
+    const chan::Message r = exec(op);
+    if (op.opcode == kSockOpen) batch_open = r.socket;
   }
 }
 

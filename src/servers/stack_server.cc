@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/net/pbuf.h"
+#include "src/servers/sock_exec.h"
 
 namespace newtos::servers {
 
@@ -333,99 +334,24 @@ void StackServer::on_stored(std::uint32_t key, std::span<const std::byte> value,
   if (--restore_replies_expected_ == 0) announce(true);
 }
 
-void StackServer::handle_sock_request(
-    char proto, const chan::Message& m, sim::Context& ctx,
-    const std::function<void(const chan::Message&)>& reply) {
-  charge(ctx, sim().costs().socket_op + env().knobs.legacy_per_packet / 4);
-  chan::Message r;
-  r.opcode = kSockReply;
-  r.req_id = m.req_id;
-  r.socket = m.socket;
-  // The same state changes the split transports store on: the listener set
-  // and the UDP socket table, so a crash of this server restores them.
-  bool listeners_changed = false;
-  bool udp_changed = false;
-  if (proto == 'T') {
-    switch (m.opcode) {
-      case kSockOpen:
-        r.arg0 = tcp_->open();
-        r.socket = static_cast<std::uint32_t>(r.arg0);
-        break;
-      case kSockBind:
-        r.arg0 = tcp_->bind(m.socket,
-                            net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                            static_cast<std::uint16_t>(m.arg1))
-                     ? 1
-                     : 0;
-        break;
-      case kSockListen:
-        r.arg0 = tcp_->listen(m.socket, static_cast<int>(m.arg0)) ? 1 : 0;
-        listeners_changed = true;
-        break;
-      case kSockConnect:
-        r.arg0 = tcp_->connect(m.socket,
-                               net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                               static_cast<std::uint16_t>(m.arg1))
-                     ? 1
-                     : 0;
-        break;
-      case kSockSend:
-        r.arg0 = tcp_->send(m.socket, m.ptr) ? 1 : 0;
-        break;
-      case kSockClose:
-        listeners_changed = tcp_->is_listener(m.socket);
-        r.arg0 = tcp_->close(m.socket) ? 1 : 0;
-        break;
-      default:
-        r.arg0 = 0;
+void StackServer::sock_batch(std::span<const WireSockOp> ops,
+                             sim::Context& ctx, const SockReplyFn& reply) {
+  run_sock_batch(ops, [&](const WireSockOp& op) {
+    charge(ctx, sim().costs().socket_op + env().knobs.legacy_per_packet / 4);
+    // The same state changes the split transports store on: the listener
+    // set and the UDP socket table, so a crash of this server restores them.
+    if (op.proto == 'U') {
+      if (op.opcode == kSockSendTo) charge(ctx, sim().costs().udp_packet_proc);
+      const SockOpResult res = apply_udp_op(*udp_, op);
+      reply(res.reply);
+      if (res.changed) store_udp_sockets(ctx);
+      return res.reply;
     }
-  } else {
-    switch (m.opcode) {
-      case kSockOpen:
-        r.arg0 = udp_->open();
-        r.socket = static_cast<std::uint32_t>(r.arg0);
-        udp_changed = true;
-        break;
-      case kSockBind:
-        r.arg0 = udp_->bind(m.socket,
-                            net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                            static_cast<std::uint16_t>(m.arg1))
-                     ? 1
-                     : 0;
-        udp_changed = true;
-        break;
-      case kSockConnect:
-        r.arg0 = udp_->connect(m.socket,
-                               net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                               static_cast<std::uint16_t>(m.arg1))
-                     ? 1
-                     : 0;
-        udp_changed = true;
-        break;
-      case kSockSendTo: {
-        charge(ctx, sim().costs().udp_packet_proc);
-        // sendto on an unbound socket auto-binds an ephemeral port.
-        const auto before = udp_->record(m.socket);
-        r.arg0 = udp_->sendto(m.socket, m.ptr,
-                              net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                              static_cast<std::uint16_t>(m.arg1))
-                     ? 1
-                     : 0;
-        udp_changed = before && before->lport == 0;
-        break;
-      }
-      case kSockClose:
-        udp_->close(m.socket);
-        r.arg0 = 1;
-        udp_changed = true;
-        break;
-      default:
-        r.arg0 = 0;
-    }
-  }
-  reply(r);
-  if (listeners_changed) store_tcp_listeners(ctx);
-  if (udp_changed) store_udp_sockets(ctx);
+    const SockOpResult res = apply_tcp_op(*tcp_, op);
+    reply(res.reply);
+    if (res.changed) store_tcp_listeners(ctx);
+    return res.reply;
+  });
 }
 
 void StackServer::on_message(const std::string& from, const chan::Message& m,
@@ -464,26 +390,10 @@ void StackServer::on_message(const std::string& from, const chan::Message& m,
     case kSockBatch: {
       // A packed submission-queue flush, possibly mixing TCP and UDP ops.
       const auto ops = parse_records<WireSockOp>(env().pools->read(m.ptr));
-      run_sock_batch(ops, [&, this](char proto, const chan::Message& sm,
-                                    const auto& note_open) {
-        handle_sock_request(proto, sm, ctx,
-                            [&, this](const chan::Message& r) {
-                              note_open(r);
-                              send_to(from, r, ctx);
-                            });
-      });
+      sock_batch(ops, ctx,
+                 [&](const chan::Message& r) { send_to(from, r, ctx); });
       return;
     }
-    default:
-      // Socket control over channels (from the SYSCALL server); the proto is
-      // carried in flags (0 = TCP, 1 = UDP).
-      if (m.opcode >= kSockOpen && m.opcode <= kSockClose) {
-        handle_sock_request((m.flags & 2) ? 'U' : 'T', m, ctx,
-                            [this, from, &ctx](const chan::Message& r) {
-                              send_to(from, r, ctx);
-                            });
-      }
-      return;
   }
 }
 

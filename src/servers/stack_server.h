@@ -15,6 +15,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/drv/nic.h"
@@ -50,10 +51,11 @@ class StackServer : public Server {
   net::IpEngine* ip_engine() { return ip_.get(); }
   net::PfEngine* pf_engine() { return pf_.get(); }
 
-  void handle_sock_request(char proto, const chan::Message& m,
-                           sim::Context& ctx,
-                           const std::function<void(const chan::Message&)>&
-                               reply);
+  // Socket control, from a kSockBatch or a direct trap (synchronous kernel
+  // IPC, or inline): runs `ops` of both protocols in array order, replying
+  // to each before it stores what the op changed.
+  void sock_batch(std::span<const WireSockOp> ops, sim::Context& ctx,
+                  const SockReplyFn& reply);
 
  protected:
   void start(bool restart) override;

@@ -20,7 +20,7 @@ SyscallServer::SyscallServer(NodeEnv* env, sim::SimCore* core,
 }
 
 SyscallServer::~SyscallServer() {
-  // Staged payloads (request.ptr) are NOT touched: the transport may have
+  // Staged payloads (op.ptr) are NOT touched: the transport may have
   // executed the op already and own them — its own teardown releases them.
   pending_.for_each(
       [this](std::uint64_t, const Pending& p) { release_chunk(p); });
@@ -37,54 +37,73 @@ void SyscallServer::start(bool restart) {
   announce(restart);
 }
 
-void SyscallServer::submit_batch(std::vector<BatchOp> ops) {
+void SyscallServer::submit_batch(std::vector<WireSockOp> ops,
+                                 const SockReplyFn& reply) {
   if (ops.empty()) return;
   calls_ += ops.size();
   ++batches_;
   // The whole batch arrives under one kernel-IPC message — this is the
   // trap amortization the submission ring buys.
   post_kernel_msg(
-      [this, ops = std::move(ops)](sim::Context& ctx) mutable {
-        forward_batch(std::move(ops), ctx);
+      [this, ops = std::move(ops), reply = &reply](sim::Context& ctx) {
+        forward_batch(ops, *reply, ctx);
       },
       100);
 }
 
-void SyscallServer::fail_op(const chan::Message& request,
-                            const DeliverFn& deliver) {
+void SyscallServer::fail_op(const Pending& p) {
   // The op never reached a transport: hand any payload the app staged in
   // the transport's exported buffer back (the engine only takes ownership
   // once the op executes).
-  if (request.ptr.valid()) {
-    if (chan::Pool* p = env().pools->find(request.ptr.pool)) {
-      p->release(request.ptr);
+  if (p.op.ptr.valid()) {
+    if (chan::Pool* pool = env().pools->find(p.op.ptr.pool)) {
+      pool->release(p.op.ptr);
     }
   }
   chan::Message err;
   err.opcode = kSockReply;
-  err.req_id = request.req_id;
-  err.socket = request.socket;
+  err.req_id = p.op.req_id;
+  err.socket = p.op.sock;
   err.arg0 = 0;
   err.flags = 1;  // error
-  deliver(err);
+  (*p.reply)(err);
+  release_chunk(p);
 }
 
 void SyscallServer::release_chunk(const Pending& p) {
   if (p.chunk.valid()) pool_->release(p.chunk);
 }
 
-void SyscallServer::forward_batch(std::vector<BatchOp> ops,
+chan::RichPtr SyscallServer::send_batch(const std::string& target,
+                                        std::span<const WireSockOp> ops,
+                                        sim::Context& ctx) {
+  chan::RichPtr chunk = pack_records<WireSockOp>(*pool_, ops);
+  if (!chunk.valid()) return chunk;
+  chan::Message m;
+  m.opcode = kSockBatch;
+  m.arg0 = ops.size();
+  m.ptr = chunk;
+  if (!send_to(target, m, ctx)) {
+    pool_->release(chunk);
+    return {};
+  }
+  // Every op holds one reference on the staging chunk; alloc provided
+  // the first, so add one per additional op.  The reference drops as
+  // each op settles (reply, error, or restart abort) — a transport
+  // crash can therefore never strand the chunk.
+  for (std::size_t k = 1; k < ops.size(); ++k) pool_->addref(chunk);
+  return chunk;
+}
+
+void SyscallServer::forward_batch(const std::vector<WireSockOp>& ops,
+                                  const SockReplyFn& reply,
                                   sim::Context& ctx) {
   // Resolve the transport shard of every op (opens round-robin, sentinel
   // ops with their open, the rest by socket id), then group per target:
   // each group travels as ONE packed kSockBatch channel message.
-  std::vector<WireSockOp> wire_in(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    wire_in[i] = sock_op_from_message(ops[i].proto, ops[i].request);
-  }
   std::vector<std::string> target_of(ops.size());
   route_sock_shards(
-      wire_in, static_cast<int>(tcp_targets_.size()),
+      ops, static_cast<int>(tcp_targets_.size()),
       static_cast<int>(udp_targets_.size()), open_rr_,
       [&](std::size_t i, int shard) {
         target_of[i] =
@@ -97,46 +116,24 @@ void SyscallServer::forward_batch(std::vector<BatchOp> ops,
 
   for (std::size_t t = 0; t < targets_.size(); ++t) {
     const std::string& target = targets_[t];
-    std::vector<std::size_t> idxs;
     std::vector<WireSockOp> wire;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (target_of[i] != target) continue;
-      chan::Message fwd = ops[i].request;
-      if (ops[i].proto == 'U') fwd.flags |= 2;  // proto marker, single ops
-      const std::uint64_t id =
-          pending_.add(Pending{ops[i].proto, t, fwd, ops[i].deliver, {}});
-      fwd.req_id = id;
-      pending_.find(id)->request.req_id = id;
-      idxs.push_back(i);
-      wire.push_back(sock_op_from_message(ops[i].proto, fwd));
+      // Our own request id goes only into the copy that travels.
+      WireSockOp fwd = ops[i];
+      fwd.req_id = pending_.add(Pending{t, ops[i], &reply, {}});
+      wire.push_back(fwd);
     }
     if (wire.empty()) continue;
-    chan::RichPtr chunk = pack_records<WireSockOp>(*pool_, wire);
-    bool sent = chunk.valid();
-    if (sent) {
-      chan::Message m;
-      m.opcode = kSockBatch;
-      m.arg0 = wire.size();
-      m.ptr = chunk;
-      sent = send_to(target, m, ctx);
-    }
-    if (!sent) {
-      // Transport down or staging pool exhausted: fail every op of this
-      // group (the apps retry).
-      if (chunk.valid()) pool_->release(chunk);
-      for (std::size_t k = 0; k < wire.size(); ++k) {
-        pending_.take(wire[k].req_id);
-        fail_op(ops[idxs[k]].request, ops[idxs[k]].deliver);
+    const chan::RichPtr chunk = send_batch(target, wire, ctx);
+    for (const WireSockOp& w : wire) {
+      if (chunk.valid()) {
+        pending_.find(w.req_id)->chunk = chunk;
+      } else {
+        // Transport down or staging pool exhausted: fail every op of this
+        // group (the apps retry).
+        fail_op(*pending_.take(w.req_id));
       }
-      continue;
-    }
-    // Every op holds one reference on the staging chunk; alloc provided
-    // the first, so add one per additional op.  The reference drops as
-    // each op settles (reply, error, or restart abort) — a transport
-    // crash can therefore never strand the chunk.
-    for (std::size_t k = 1; k < wire.size(); ++k) pool_->addref(chunk);
-    for (std::size_t k = 0; k < wire.size(); ++k) {
-      pending_.find(wire[k].req_id)->chunk = chunk;
     }
   }
 }
@@ -148,7 +145,9 @@ void SyscallServer::on_message(const std::string& from,
   if (m.opcode != kSockReply) return;
   const auto p = pending_.take(m.req_id);
   if (!p) return;  // stale reply from before a crash
-  p->deliver(m);
+  chan::Message r = m;
+  r.req_id = p->op.req_id;  // back to the submitter's id
+  (*p->reply)(r);
   release_chunk(*p);
 }
 
@@ -166,15 +165,21 @@ void SyscallServer::on_peer_up(const std::string& peer, bool restarted,
     // standalone — its open's identity died with the batch; fail it so the
     // app reopens.
     const bool resubmit =
-        (p.proto == 'U' || p.request.opcode == kSockListen) &&
-        p.request.socket != kSockFromBatchOpen;
+        (p.op.proto == 'U' || p.op.opcode == kSockListen) &&
+        p.op.sock != kSockFromBatchOpen;
     if (resubmit) {
-      send_to(peer, p.request, ctx);
-      return;
+      // As a one-op kSockBatch, the one way ops enter a transport; it
+      // holds the op's reference in place of the old batch chunk.
+      WireSockOp fwd = p.op;
+      fwd.req_id = id;
+      const chan::RichPtr chunk = send_batch(peer, {&fwd, 1}, ctx);
+      if (chunk.valid()) {
+        release_chunk(p);
+        p.chunk = chunk;
+        return;
+      }
     }
-    const auto failed = pending_.take(id);
-    fail_op(failed->request, failed->deliver);
-    release_chunk(*failed);
+    fail_op(*pending_.take(id));
   });
 }
 

@@ -14,8 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,8 +26,6 @@ namespace newtos::servers {
 
 class SyscallServer : public Server {
  public:
-  using DeliverFn = std::function<void(const chan::Message&)>;
-
   // `tcp_targets`/`udp_targets` name the servers handling each protocol,
   // one per shard: the TCP/UDP replicas in the split stack, or the single
   // combined "stack" server.
@@ -39,18 +36,13 @@ class SyscallServer : public Server {
   // ops that never got a reply.
   ~SyscallServer() override;
 
-  // One op of a batched submission (a SocketRing SQ flush).
-  struct BatchOp {
-    char proto = 'T';
-    chan::Message request;
-    DeliverFn deliver;
-  };
-
   // Entry point for application system calls: a whole submission-queue
   // flush arrives under ONE kernel-IPC message (the caller models the
   // app-side trap), then travels to each transport shard as ONE packed
-  // kSockBatch channel message.  Replies are delivered per op.
-  void submit_batch(std::vector<BatchOp> ops);
+  // kSockBatch channel message.  Each op's kSockReply goes to `reply` with
+  // the op's own req_id (the submitter's cookie); `reply` is the
+  // submitter's one callback and must outlive the ops.
+  void submit_batch(std::vector<WireSockOp> ops, const SockReplyFn& reply);
 
   std::uint64_t calls() const { return calls_; }
   std::uint64_t batches() const { return batches_; }
@@ -64,10 +56,9 @@ class SyscallServer : public Server {
 
  private:
   struct Pending {
-    char proto = 'T';
     std::size_t target = 0;  // the transport shard it went to (targets_)
-    chan::Message request;
-    DeliverFn deliver;
+    WireSockOp op;           // as submitted: req_id is the submitter's
+    const SockReplyFn* reply = nullptr;
     // The packed batch chunk this op rode in on; each op holds one
     // reference, dropped when the op's reply (or abort) settles it.
     chan::RichPtr chunk;
@@ -75,9 +66,15 @@ class SyscallServer : public Server {
 
   // Drops a settled op's reference on its batch chunk.
   void release_chunk(const Pending& p);
+  // Packs `ops` (req_ids already ours) into one kSockBatch to `target`;
+  // the chunk holds one reference per op.  Invalid when the staging pool is
+  // exhausted or the message could not leave (nothing stays allocated).
+  chan::RichPtr send_batch(const std::string& target,
+                           std::span<const WireSockOp> ops, sim::Context& ctx);
 
-  void forward_batch(std::vector<BatchOp> ops, sim::Context& ctx);
-  void fail_op(const chan::Message& request, const DeliverFn& deliver);
+  void forward_batch(const std::vector<WireSockOp>& ops,
+                     const SockReplyFn& reply, sim::Context& ctx);
+  void fail_op(const Pending& p);
 
   std::vector<std::string> tcp_targets_;
   std::vector<std::string> udp_targets_;

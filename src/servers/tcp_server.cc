@@ -1,5 +1,7 @@
 #include "src/servers/tcp_server.h"
 
+#include "src/servers/sock_exec.h"
+
 namespace newtos::servers {
 
 TcpServer::TcpServer(NodeEnv* env, sim::SimCore* core, net::TcpOptions opts,
@@ -156,60 +158,26 @@ void TcpServer::replicate_listener(const net::TcpEngine::ListenRec& rec,
   send_to_all(siblings_, m, ctx);
 }
 
-void TcpServer::handle_sock_request(
-    const chan::Message& m, sim::Context& ctx,
-    const std::function<void(const chan::Message&)>& reply) {
-  charge(ctx, sim().costs().socket_op);
-  chan::Message r;
-  r.opcode = kSockReply;
-  r.req_id = m.req_id;
-  r.socket = m.socket;
-  switch (m.opcode) {
-    case kSockOpen:
-      r.arg0 = engine_->open();
-      r.socket = static_cast<std::uint32_t>(r.arg0);
-      break;
-    case kSockBind:
-      r.arg0 = engine_->bind(m.socket,
-                             net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                             static_cast<std::uint16_t>(m.arg1))
-                   ? 1
-                   : 0;
-      break;
-    case kSockListen:
-      r.arg0 = engine_->listen(m.socket, static_cast<int>(m.arg0)) ? 1 : 0;
-      if (r.arg0 != 0 && !siblings_.empty()) {
+void TcpServer::sock_batch(std::span<const WireSockOp> ops, sim::Context& ctx,
+                           const SockReplyFn& reply) {
+  run_sock_batch(ops, [&](const WireSockOp& op) {
+    charge(ctx, sim().costs().socket_op);
+    const SockOpResult res = apply_tcp_op(*engine_, op);
+    if (res.changed) {
+      if (res.removed) {
+        replicate_close(op.sock, ctx);
+      } else if (res.reply.arg0 != 0) {
         // SO_REUSEPORT steering: every replica gets an accept queue for
         // this port, so the 4-tuple hash may land a SYN on any of them.
         for (const auto& rec : engine_->listeners()) {
-          if (rec.id == m.socket) replicate_listener(rec, ctx);
+          if (rec.id == op.sock) replicate_listener(rec, ctx);
         }
       }
       save_listeners(ctx);
-      break;
-    case kSockConnect:
-      // Completion is signalled by the Connected/Reset socket event.
-      r.arg0 = engine_->connect(
-                   m.socket, net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                   static_cast<std::uint16_t>(m.arg1))
-                   ? 1
-                   : 0;
-      break;
-    case kSockSend:
-      r.arg0 = engine_->send(m.socket, m.ptr) ? 1 : 0;
-      break;
-    case kSockClose: {
-      const bool was_listener = engine_->is_listener(m.socket);
-      r.arg0 = engine_->close(m.socket) ? 1 : 0;
-      if (was_listener && !siblings_.empty()) replicate_close(m.socket, ctx);
-      save_listeners(ctx);
-      break;
     }
-    default:
-      r.arg0 = 0;
-      break;
-  }
-  reply(r);
+    reply(res.reply);
+    return res.reply;
+  });
 }
 
 void TcpServer::on_message(const std::string& from, const chan::Message& m,

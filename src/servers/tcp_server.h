@@ -67,9 +67,10 @@ class TcpServer : public TransportServer {
     return writer_ ? writer_->overflows() + writer_->dir_overflows() : 0;
   }
 
-  void handle_sock_request(
-      const chan::Message& m, sim::Context& ctx,
-      const std::function<void(const chan::Message&)>& reply) override;
+  // Replicates each listen or listener's close to the sibling replicas and
+  // stores the listener set, then replies.
+  void sock_batch(std::span<const WireSockOp> ops, sim::Context& ctx,
+                  const SockReplyFn& reply) override;
 
  protected:
   void start(bool restart) override;

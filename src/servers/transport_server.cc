@@ -220,23 +220,10 @@ void TransportServer::on_message(const std::string& from,
     case kSockBatch: {
       // One channel message carries a whole submission-queue flush.
       const auto ops = parse_records<WireSockOp>(env().pools->read(m.ptr));
-      run_sock_batch(ops, [&, this](char, const chan::Message& sm,
-                                    const auto& note_open) {
-        handle_sock_request(sm, ctx, [&, this](const chan::Message& r) {
-          note_open(r);
-          send_to(from, r, ctx);
-        });
-      });
+      sock_batch(ops, ctx,
+                 [&](const chan::Message& r) { send_to(from, r, ctx); });
       return;
     }
-    default:
-      // Socket control over channels (SYSCALL server path).
-      if (m.opcode >= kSockOpen && m.opcode <= kSockClose) {
-        handle_sock_request(m, ctx, [this, from, &ctx](const chan::Message& r) {
-          send_to(from, r, ctx);
-        });
-      }
-      return;
   }
 }
 

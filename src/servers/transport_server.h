@@ -5,13 +5,16 @@
 // to IP, the RSS fast path (the drivers post a queue's frames straight to
 // its home replica as kDrvRxFast, which runs the hoisted IP receive work of
 // src/net/ip_fastpath.h on its own core), the supervision probe echo, PF's
-// connection-list rebuild and socket control.
+// connection-list rebuild and the one way socket control comes in: a span
+// of WireSockOp records, from a kSockBatch or from a direct trap, which
+// each protocol applies through its executor (src/servers/sock_exec.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,12 +38,12 @@ class TransportServer : public Server {
   // per-shard node stats and the bench's per-shard inbound frame count.
   const net::IpFastPath* fastpath() const { return fastpath_.get(); }
 
-  // Socket control entry point shared by the channel path (on_message) and
-  // the direct kernel-IPC path (Table II line 2).  `reply` delivers the
-  // kSockReply message to the requester.
-  virtual void handle_sock_request(
-      const chan::Message& m, sim::Context& ctx,
-      const std::function<void(const chan::Message&)>& reply) = 0;
+  // Socket control entry point shared by the channel path (a kSockBatch in
+  // on_message) and the direct kernel-IPC path (Table II line 2): runs
+  // `ops` in array order and delivers each kSockReply to the requester
+  // through `reply`.
+  virtual void sock_batch(std::span<const WireSockOp> ops, sim::Context& ctx,
+                          const SockReplyFn& reply) = 0;
 
  protected:
   // `proto` is 'T' or 'U'; `src_for` selects a source address for unbound

@@ -1,5 +1,7 @@
 #include "src/servers/udp_server.h"
 
+#include "src/servers/sock_exec.h"
+
 namespace newtos::servers {
 
 UdpServer::UdpServer(NodeEnv* env, sim::SimCore* core,
@@ -89,75 +91,23 @@ void UdpServer::replicate_sock(net::SockId s, sim::Context& ctx,
   send_to_all(siblings_, m, ctx);
 }
 
-void UdpServer::handle_sock_request(
-    const chan::Message& m, sim::Context& ctx,
-    const std::function<void(const chan::Message&)>& reply) {
-  charge(ctx, sim().costs().socket_op);
-  chan::Message r;
-  r.opcode = kSockReply;
-  r.req_id = m.req_id;
-  r.socket = m.socket;
-  bool state_changed = false;
-  bool removed = false;
-  switch (m.opcode) {
-    case kSockOpen:
-      r.arg0 = engine_->open();
-      r.socket = static_cast<std::uint32_t>(r.arg0);
-      state_changed = true;
-      break;
-    case kSockBind:
-      r.arg0 = engine_->bind(m.socket, net::Ipv4Addr{
-                                           static_cast<std::uint32_t>(m.arg0)},
-                             static_cast<std::uint16_t>(m.arg1))
-                   ? 1
-                   : 0;
-      state_changed = true;
-      break;
-    case kSockConnect:
-      r.arg0 = engine_->connect(
-                   m.socket,
-                   net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                   static_cast<std::uint16_t>(m.arg1))
-                   ? 1
-                   : 0;
-      state_changed = true;
-      break;
-    case kSockSendTo: {
-      charge(ctx, sim().costs().udp_packet_proc);
-      // sendto on an unbound socket auto-binds an ephemeral port — a state
-      // change the replicas must learn about, or the replies steered to
-      // them find no socket.
-      const auto before = engine_->record(m.socket);
-      r.arg0 = engine_->sendto(
-                   m.socket, m.ptr,
-                   net::Ipv4Addr{static_cast<std::uint32_t>(m.arg0)},
-                   static_cast<std::uint16_t>(m.arg1))
-                   ? 1
-                   : 0;
-      if (before && before->lport == 0) state_changed = true;
-      break;
-    }
-    case kSockClose:
-      engine_->close(m.socket);
-      r.arg0 = 1;
-      state_changed = true;
-      removed = true;
-      break;
-    default:
-      r.arg0 = 0;
-      break;
-  }
-  reply(r);
-  if (state_changed) {
-    if (!siblings_.empty()) {
-      if (removed) {
-        replicate_close(m.socket, ctx);
+void UdpServer::sock_batch(std::span<const WireSockOp> ops, sim::Context& ctx,
+                           const SockReplyFn& reply) {
+  run_sock_batch(ops, [&](const WireSockOp& op) {
+    charge(ctx, sim().costs().socket_op);
+    if (op.opcode == kSockSendTo) charge(ctx, sim().costs().udp_packet_proc);
+    const SockOpResult res = apply_udp_op(*engine_, op);
+    reply(res.reply);
+    if (res.changed) {
+      if (res.removed) {
+        replicate_close(op.sock, ctx);
       } else {
-        replicate_sock(r.socket, ctx);
+        replicate_sock(res.reply.socket, ctx);
       }
+      store_state(ctx);
     }
-    store_state(ctx);
-  }
+    return res.reply;
+  });
 }
 
 void UdpServer::on_message(const std::string& from, const chan::Message& m,

@@ -35,9 +35,10 @@ class UdpServer : public TransportServer {
 
   net::UdpEngine* engine() { return engine_.get(); }
 
-  void handle_sock_request(
-      const chan::Message& m, sim::Context& ctx,
-      const std::function<void(const chan::Message&)>& reply) override;
+  // Replies first, then replicates each change of the socket table to the
+  // sibling replicas and stores the table.
+  void sock_batch(std::span<const WireSockOp> ops, sim::Context& ctx,
+                  const SockReplyFn& reply) override;
 
  protected:
   void start(bool restart) override;

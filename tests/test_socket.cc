@@ -9,6 +9,7 @@
 #include "src/core/socket_ring.h"
 #include "src/core/testbed.h"
 #include "src/servers/proto.h"
+#include "src/servers/storage.h"
 
 using namespace newtos;
 
@@ -20,14 +21,21 @@ TestbedOptions options(StackMode mode) {
   return opts;
 }
 
+// Every arrangement runs the socket-op executors on a different host: the
+// split replicas behind SYSCALL and through direct traps, and the combined
+// stack behind SYSCALL, over synchronous kernel IPC and inline.
+const StackMode kAllModes[] = {StackMode::kMinixSync, StackMode::kSplit,
+                               StackMode::kSplitSyscall,
+                               StackMode::kSingleServer,
+                               StackMode::kIdealMonolithic};
+
 }  // namespace
 
 // Open/connect/close lifecycle, across every stack arrangement: the
 // SYSCALL-server path (packed kSockBatch channel messages), the combined
 // stack, and the direct-trap split stack all route the same SQ flush.
 TEST(SocketObjects, TcpLifecycleAllModes) {
-  for (StackMode mode : {StackMode::kSplitSyscall, StackMode::kSingleServer,
-                         StackMode::kSplit}) {
+  for (StackMode mode : kAllModes) {
     SCOPED_TRACE(to_string(mode));
     Testbed tb(options(mode));
 
@@ -92,19 +100,22 @@ TEST(SocketObjects, ConnectRefusedDeliversReset) {
 // Binding a port that is already taken fails the second bind_listen — the
 // in-batch open sentinel resolves each listener to its own fresh socket.
 TEST(SocketObjects, BindConflictFails) {
-  Testbed tb(options(StackMode::kSplitSyscall));
-  AppActor* app = tb.newtos().add_app("srv");
-  TcpListener first(*app);
-  TcpListener second(*app);
-  bool first_ok = false;
-  bool second_ok = true;
-  first.bind_listen(net::Ipv4Addr{}, 8080, 4,
-                    [&](bool ok) { first_ok = ok; });
-  second.bind_listen(net::Ipv4Addr{}, 8080, 4,
-                     [&](bool ok) { second_ok = ok; });
-  tb.run_until(200 * sim::kMillisecond);
-  EXPECT_TRUE(first_ok);
-  EXPECT_FALSE(second_ok);
+  for (StackMode mode : kAllModes) {
+    SCOPED_TRACE(to_string(mode));
+    Testbed tb(options(mode));
+    AppActor* app = tb.newtos().add_app("srv");
+    TcpListener first(*app);
+    TcpListener second(*app);
+    bool first_ok = false;
+    bool second_ok = true;
+    first.bind_listen(net::Ipv4Addr{}, 8080, 4,
+                      [&](bool ok) { first_ok = ok; });
+    second.bind_listen(net::Ipv4Addr{}, 8080, 4,
+                       [&](bool ok) { second_ok = ok; });
+    tb.run_until(200 * sim::kMillisecond);
+    EXPECT_TRUE(first_ok);
+    EXPECT_FALSE(second_ok);
+  }
 }
 
 // UDP datagram flow: recvfrom reports the sender's address and port, and
@@ -188,49 +199,53 @@ TEST(SocketObjects, ListenerBacklogHoldsPendingAccepts) {
 // doorbell: open -> bind -> connect, where the later ops name the socket
 // the open creates (kSockFromBatchOpen).
 TEST(SocketRingBatching, CompletionsArriveInSubmissionOrder) {
-  Testbed tb(options(StackMode::kSplitSyscall));
-  AppActor* app = tb.newtos().add_app("app");
-  SocketRing& ring = app->ring();
+  for (StackMode mode : kAllModes) {
+    SCOPED_TRACE(to_string(mode));
+    Testbed tb(options(mode));
+    AppActor* app = tb.newtos().add_app("app");
+    SocketRing& ring = app->ring();
 
-  std::vector<std::uint16_t> order;
-  std::vector<bool> oks;
-  auto record = [&](const SockCqe& c) {
-    order.push_back(c.opcode);
-    oks.push_back(c.ok);
-  };
+    std::vector<std::uint16_t> order;
+    std::vector<bool> oks;
+    auto record = [&](const SockCqe& c) {
+      order.push_back(c.opcode);
+      oks.push_back(c.ok);
+    };
 
-  SockSqe open;
-  open.opcode = servers::kSockOpen;
-  open.proto = 'U';
-  ring.enqueue(open, record);
-  SockSqe bind;
-  bind.opcode = servers::kSockBind;
-  bind.proto = 'U';
-  bind.sock = servers::kSockFromBatchOpen;
-  bind.arg1 = 5454;
-  ring.enqueue(bind, record);
-  SockSqe conn;
-  conn.opcode = servers::kSockConnect;
-  conn.proto = 'U';
-  conn.sock = servers::kSockFromBatchOpen;
-  conn.arg0 = tb.newtos().peer_addr(0).value;
-  conn.arg1 = 53;
-  ring.enqueue(conn, record);
+    SockSqe open;
+    open.opcode = servers::kSockOpen;
+    open.proto = 'U';
+    ring.enqueue(open, record);
+    SockSqe bind;
+    bind.opcode = servers::kSockBind;
+    bind.proto = 'U';
+    bind.sock = servers::kSockFromBatchOpen;
+    bind.arg1 = 5454;
+    ring.enqueue(bind, record);
+    SockSqe conn;
+    conn.opcode = servers::kSockConnect;
+    conn.proto = 'U';
+    conn.sock = servers::kSockFromBatchOpen;
+    conn.arg0 = tb.newtos().peer_addr(0).value;
+    conn.arg1 = 53;
+    ring.enqueue(conn, record);
 
-  tb.run_until(100 * sim::kMillisecond);
+    tb.run_until(100 * sim::kMillisecond);
 
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], servers::kSockOpen);
-  EXPECT_EQ(order[1], servers::kSockBind);
-  EXPECT_EQ(order[2], servers::kSockConnect);
-  EXPECT_TRUE(oks[0]);
-  EXPECT_TRUE(oks[1]);  // the sentinel resolved to the socket just opened
-  EXPECT_TRUE(oks[2]);
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[0], servers::kSockOpen);
+    EXPECT_EQ(order[1], servers::kSockBind);
+    EXPECT_EQ(order[2], servers::kSockConnect);
+    EXPECT_TRUE(oks[0]);
+    EXPECT_TRUE(oks[1]);  // the sentinel resolved to the socket just opened
+    EXPECT_TRUE(oks[2]);
 
-  // All three ops rode one doorbell — the amortization the rings exist for.
-  EXPECT_EQ(ring.ops(), 3u);
-  EXPECT_EQ(ring.doorbells(), 1u);
-  EXPECT_EQ(ring.completions(), 3u);
+    // All three ops rode one doorbell — the amortization the rings exist
+    // for.
+    EXPECT_EQ(ring.ops(), 3u);
+    EXPECT_EQ(ring.doorbells(), 1u);
+    EXPECT_EQ(ring.completions(), 3u);
+  }
 }
 
 // Two sockets of the same protocol opening in one flush must not alias:
@@ -238,34 +253,143 @@ TEST(SocketRingBatching, CompletionsArriveInSubmissionOrder) {
 // cannot use the nearest-preceding-open sentinel — it is held back and
 // replayed with the real id instead.
 TEST(SocketRingBatching, TwoOpensInOneFlushDoNotAlias) {
-  Testbed tb(options(StackMode::kSplitSyscall));
-  AppActor* app = tb.newtos().add_app("app");
-  UdpSocket u1(*app);
-  UdpSocket u2(*app);
+  for (StackMode mode : kAllModes) {
+    SCOPED_TRACE(to_string(mode));
+    Testbed tb(options(mode));
+    AppActor* app = tb.newtos().add_app("app");
+    UdpSocket u1(*app);
+    UdpSocket u2(*app);
 
-  bool u1_bind = false;
-  bool u2_bind = false;
-  bool u1_conn = false;
-  u1.bind(net::Ipv4Addr{}, 6001, [&](bool ok) { u1_bind = ok; });
-  u2.bind(net::Ipv4Addr{}, 6002, [&](bool ok) { u2_bind = ok; });
-  // Queued after u2's open: must bind to u1, not the nearest open (u2).
-  u1.connect(tb.newtos().peer_addr(0), 53, [&](bool ok) { u1_conn = ok; });
+    bool u1_bind = false;
+    bool u2_bind = false;
+    bool u1_conn = false;
+    u1.bind(net::Ipv4Addr{}, 6001, [&](bool ok) { u1_bind = ok; });
+    u2.bind(net::Ipv4Addr{}, 6002, [&](bool ok) { u2_bind = ok; });
+    // Queued after u2's open: must bind to u1, not the nearest open (u2).
+    u1.connect(tb.newtos().peer_addr(0), 53, [&](bool ok) { u1_conn = ok; });
 
-  tb.run_until(200 * sim::kMillisecond);
-  EXPECT_TRUE(u1_bind);
-  EXPECT_TRUE(u2_bind);
-  EXPECT_TRUE(u1_conn);
-  ASSERT_TRUE(u1.valid());
-  ASSERT_TRUE(u2.valid());
-  EXPECT_NE(u1.id(), u2.id());
+    tb.run_until(200 * sim::kMillisecond);
+    EXPECT_TRUE(u1_bind);
+    EXPECT_TRUE(u2_bind);
+    EXPECT_TRUE(u1_conn);
+    ASSERT_TRUE(u1.valid());
+    ASSERT_TRUE(u2.valid());
+    EXPECT_NE(u1.id(), u2.id());
 
-  // The connect must have landed on the socket bound to 6001.
-  for (const auto& rec : tb.newtos().udp_engine()->snapshot()) {
-    if (rec.lport == 6001) {
-      EXPECT_EQ(rec.pport, 53);
-    }
-    if (rec.lport == 6002) {
-      EXPECT_EQ(rec.pport, 0);
+    // The connect must have landed on the socket bound to 6001.
+    for (const auto& rec : tb.newtos().udp_engine()->snapshot()) {
+      if (rec.lport == 6001) {
+        EXPECT_EQ(rec.pport, 53);
+      }
+      if (rec.lport == 6002) {
+        EXPECT_EQ(rec.pport, 0);
+      }
     }
   }
+}
+
+// The listener set is stored when it changes, on a listen and on a
+// listener's close, and not on the close of a connected socket.  The split
+// TCP server and the combined stack apply the same rule.
+TEST(SocketControl, ListenerSetIsStoredOnlyWhenItChanges) {
+  for (StackMode mode : {StackMode::kSplitSyscall, StackMode::kSingleServer}) {
+    SCOPED_TRACE(to_string(mode));
+    Testbed tb(options(mode));
+    const servers::StorageServer& store = *tb.newtos().storage();
+    tb.run_until(50 * sim::kMillisecond);  // the boot-time puts are done
+
+    AppActor* srv_app = tb.newtos().add_app("srv");
+    TcpListener listener(*srv_app);
+    std::vector<std::unique_ptr<TcpSocket>> accepted;
+    listener.on_event([&](net::TcpEvent ev) {
+      if (ev != net::TcpEvent::AcceptReady) return;
+      while (auto c = listener.accept()) accepted.push_back(std::move(c));
+    });
+    std::uint64_t puts = store.puts();
+    bool listen_ok = false;
+    listener.bind_listen(net::Ipv4Addr{}, 7000, 4,
+                         [&](bool ok) { listen_ok = ok; });
+    tb.run_until(100 * sim::kMillisecond);
+    ASSERT_TRUE(listen_ok);
+    EXPECT_EQ(store.puts(), puts + 1) << "a listen";
+
+    AppActor* cli_app = tb.peer().add_app("cli");
+    TcpSocket client(*cli_app);
+    client.connect(tb.peer().peer_addr(0), 7000, [](bool) {});
+    tb.run_until(300 * sim::kMillisecond);
+    ASSERT_EQ(accepted.size(), 1u);
+
+    puts = store.puts();
+    bool conn_closed = false;
+    accepted[0]->close([&](bool ok) { conn_closed = ok; });
+    tb.run_until(400 * sim::kMillisecond);
+    EXPECT_TRUE(conn_closed);
+    EXPECT_EQ(store.puts(), puts) << "an accepted connection's close";
+
+    bool listener_closed = false;
+    listener.close([&](bool ok) { listener_closed = ok; });
+    tb.run_until(500 * sim::kMillisecond);
+    EXPECT_TRUE(listener_closed);
+    EXPECT_EQ(store.puts(), puts + 1) << "the listener's close";
+  }
+}
+
+// Section V-D: when a transport restarts, SYSCALL resubmits the UDP ops it
+// had in flight there.  A connect queued at the hung server dies with its
+// queue and completes once, on the new incarnation.
+TEST(SocketControl, SyscallResendsUdpOpsAcrossATransportRestart) {
+  Testbed tb(options(StackMode::kSplitSyscall));
+  AppActor* app = tb.newtos().add_app("app");
+  UdpSocket sock(*app);
+  bool bound = false;
+  sock.bind(net::Ipv4Addr{}, 6001, [&](bool ok) { bound = ok; });
+  tb.run_until(100 * sim::kMillisecond);
+  ASSERT_TRUE(bound);
+
+  servers::Server* udp = tb.newtos().server(servers::kUdpName);
+  udp->hang();
+  int completions = 0;
+  bool connected = false;
+  sock.connect(tb.newtos().peer_addr(0), 53, [&](bool ok) {
+    ++completions;
+    connected = ok;
+  });
+  tb.run_until(110 * sim::kMillisecond);
+  EXPECT_EQ(completions, 0);
+  udp->kill();
+  tb.run_until(1 * sim::kSecond);
+
+  EXPECT_TRUE(udp->ready());
+  EXPECT_EQ(completions, 1);
+  EXPECT_TRUE(connected);
+  const auto rec = tb.newtos().udp_engine()->record(sock.id());
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->lport, 6001);
+  EXPECT_EQ(rec->pport, 53);
+}
+
+// TCP ops other than listen are failed instead: "TCP returns error to any
+// operation the SYSCALL server resubmits except listen" (Section V-D).
+TEST(SocketControl, SyscallFailsTcpOpsAcrossATransportRestart) {
+  Testbed tb(options(StackMode::kSplitSyscall));
+  AppActor* app = tb.newtos().add_app("app");
+  tb.run_until(100 * sim::kMillisecond);
+
+  servers::Server* tcp = tb.newtos().server(servers::kTcpName);
+  tcp->hang();
+  TcpSocket sock(*app);
+  int completions = 0;
+  bool accepted = true;
+  sock.connect(tb.newtos().peer_addr(0), 7000, [&](bool ok) {
+    ++completions;
+    accepted = ok;
+  });
+  tb.run_until(110 * sim::kMillisecond);
+  EXPECT_EQ(completions, 0);
+  tcp->kill();
+  tb.run_until(1 * sim::kSecond);
+
+  EXPECT_TRUE(tcp->ready());
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(accepted);
 }
