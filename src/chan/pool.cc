@@ -1,11 +1,40 @@
 #include "src/chan/pool.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <memory>
+#include <new>
 #include <utility>
 
 namespace newtos::chan {
+
+// Not calloc: freeing a mapped block of up to 32 MiB raises glibc's mmap
+// threshold to its size, so later pools would come from the heap and be
+// zero-filled again.
+Pool::Mapping::Mapping(std::size_t size) : size_(size) {
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t span = (size + page - 1) / page * page;
+  mapped_ = span + 2 * page;
+  // NORESERVE: the pool is a reservation; only touched pages count.
+  void* base = ::mmap(nullptr, mapped_, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  base_ = base;
+  data_ = static_cast<std::byte*>(base) + page;
+  if (::mprotect(data_, span, PROT_READ | PROT_WRITE) != 0) {
+    ::munmap(base_, mapped_);
+    throw std::bad_alloc();
+  }
+  // Base pages only: with transparent huge pages a first touch would commit
+  // 2 MiB, and the committed size would depend on the host's THP setting.
+  ::madvise(data_, span, MADV_NOHUGEPAGE);
+}
+
+Pool::Mapping::~Mapping() { ::munmap(base_, mapped_); }
 
 Pool::Pool(std::uint32_t id, std::string name, std::size_t size_bytes)
     : id_(id), name_(std::move(name)), bytes_(size_bytes) {
@@ -159,7 +188,7 @@ bool Pool::dma_write(const RichPtr& p, std::span<const std::byte> data) {
   if (data.size() > p.length) return false;
   if (static_cast<std::size_t>(p.offset) + p.length > bytes_.size())
     return false;
-  std::copy(data.begin(), data.end(), bytes_.begin() + p.offset);
+  std::copy(data.begin(), data.end(), bytes_.data() + p.offset);
   return true;
 }
 

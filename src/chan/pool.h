@@ -33,6 +33,13 @@
 // Allocation is LIFO per rounded size, then bump; offsets decide the order
 // in which reclaim() walks a ledger, so the policy is part of what keeps
 // runs reproducible.
+//
+// Pool memory.  The bytes live in an anonymous private mapping, as the
+// virtual memory manager would map a pool for its owner: the whole size is
+// reserved up front, but a page costs memory only once it is touched, and
+// untouched pages read as zero.  reset() leaves the bytes alone.  A PROT_NONE
+// guard page sits on each side, so an access before the start, or past the
+// end of a pool whose size is a page multiple, faults in every build.
 #pragma once
 
 #include <cstddef>
@@ -132,6 +139,26 @@ class Pool {
 
   static constexpr unsigned kGranuleShift = 6;  // 64-byte chunk granules
 
+  // `size` bytes of zero-filled memory, committed page by page on first
+  // touch, between two PROT_NONE guard pages.  Throws std::bad_alloc when
+  // the mapping fails.
+  class Mapping {
+   public:
+    explicit Mapping(std::size_t size);
+    ~Mapping();
+    Mapping(const Mapping&) = delete;
+    Mapping& operator=(const Mapping&) = delete;
+
+    std::byte* data() const { return data_; }
+    std::size_t size() const { return size_; }
+
+   private:
+    void* base_ = nullptr;  // the low guard page
+    std::size_t mapped_ = 0;
+    std::byte* data_ = nullptr;
+    std::size_t size_ = 0;
+  };
+
   static std::uint32_t round_chunk(std::uint32_t len);
   // The live chunk starting exactly at `offset`, or null.
   const Chunk* chunk_at(std::uint32_t offset) const;
@@ -143,7 +170,7 @@ class Pool {
 
   std::uint32_t id_;
   std::string name_;
-  std::vector<std::byte> bytes_;
+  Mapping bytes_;
   std::uint32_t generation_ = 1;
 
   std::uint32_t bump_ = 0;  // high-water mark for fresh allocations

@@ -89,11 +89,12 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
     const sim::Cycles toll = cfg.mode == StackMode::kIdealMonolithic
                                  ? 0
                                  : costs.trap_cold - costs.trap_hot;
+    auto drop = fail_all(batch);
     stack->post_kernel_msg(
         [this, stack, batch = std::move(batch)](sim::Context& sctx) {
           stack->sock_batch(batch, sctx, reply_);
         },
-        toll);
+        toll, std::move(drop));
     return;
   }
 
@@ -133,6 +134,7 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
       std::vector<SockSqe> ops;
       ops.reserve(idxs.size());
       for (std::size_t i : idxs) ops.push_back(batch[i]);
+      auto drop = fail_all(ops);
       auto run = [this, srv, reply_toll,
                   ops = std::move(ops)](sim::Context& sctx) {
         srv->sock_batch(ops, sctx, [&](const chan::Message& r) {
@@ -140,9 +142,15 @@ void SocketRing::route_direct(std::vector<SockSqe> batch) {
           on_reply(r);
         });
       };
-      srv->post_kernel_msg(std::move(run), costs.trap_cold);
+      srv->post_kernel_msg(std::move(run), costs.trap_cold, std::move(drop));
     }
   }
+}
+
+std::function<void()> SocketRing::fail_all(std::vector<SockSqe> ops) {
+  return [this, ops = std::move(ops)] {
+    for (const auto& op : ops) fail(op, kSockEDown);
+  };
 }
 
 void SocketRing::on_reply(const chan::Message& r) {

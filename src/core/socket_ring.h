@@ -116,6 +116,10 @@ class SocketRing {
   void schedule_flush();
   void do_flush(sim::Context& ctx);
   void route_direct(std::vector<SockSqe> batch);
+  // The drop action of a batch trapped into a transport: if the transport
+  // dies before it takes the batch, none of its ops ran, and each fails
+  // once with kSockEDown.
+  std::function<void()> fail_all(std::vector<SockSqe> ops);
   // The one reply path: converts a kSockReply (req_id = our cookie) into a
   // CQE and queues it for the next CQ drain (one kernel message back into
   // the app covers all of them).

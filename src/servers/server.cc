@@ -66,8 +66,11 @@ void Server::kill() {
   for (auto& in : in_queues_) in.queue->reset();
   in_queues_.clear();
   outs_.clear();
-  control_.clear();
+  const std::deque<Control> dropped = std::exchange(control_, {});
   rdb_.clear();
+  for (const Control& c : dropped) {
+    if (c.on_drop) c.on_drop();
+  }
   if (env_->report_crash) env_->report_crash(this);
 }
 
@@ -79,18 +82,19 @@ void Server::post_heartbeat(std::function<void()> ack) {
 }
 
 void Server::post_kernel_msg(std::function<void(sim::Context&)> fn,
-                             sim::Cycles extra_cost) {
+                             sim::Cycles extra_cost,
+                             std::function<void()> on_drop) {
   if (!alive_) return;
   const sim::Cycles cost = env_->kernel->receive(sizeof(chan::Message)) +
                            extra_cost;
-  control_.emplace_back(std::move(fn), cost);
+  control_.push_back(Control{std::move(fn), cost, std::move(on_drop)});
   wake();
 }
 
 void Server::post_control(std::function<void(sim::Context&)> fn,
                           sim::Cycles cost) {
   if (!alive_) return;
-  control_.emplace_back(std::move(fn), cost);
+  control_.push_back(Control{std::move(fn), cost, {}});
   wake();
 }
 
@@ -298,10 +302,10 @@ void Server::pump(sim::Context& ctx) {
   int handled = 0;
   while (handled < kBatch) {
     if (!control_.empty()) {
-      auto [fn, cost] = std::move(control_.front());
+      Control c = std::move(control_.front());
       control_.pop_front();
-      charge(ctx, cost);
-      fn(ctx);
+      charge(ctx, c.cost);
+      c.fn(ctx);
       ++handled;
       ++messages_handled_;
       if (!alive_ || hung_) {

@@ -153,9 +153,12 @@ class Server {
   void post_heartbeat(std::function<void()> ack);
 
   // Inject a kernel-IPC message (app syscalls, interrupts).  Charged as a
-  // trap + receive on this server's core.
+  // trap + receive on this server's core.  If the server dies before it
+  // takes the message, kill() runs `on_drop` once, after the teardown, so
+  // the sender learns that the message was lost.
   void post_kernel_msg(std::function<void(sim::Context&)> fn,
-                       sim::Cycles extra_cost = 0);
+                       sim::Cycles extra_cost = 0,
+                       std::function<void()> on_drop = {});
   // Cheap internal control event (library fast path, timer callbacks).
   void post_control(std::function<void(sim::Context&)> fn,
                     sim::Cycles cost = 50);
@@ -319,8 +322,12 @@ class Server {
   std::map<std::string, OutPeer> outs_;
   std::vector<chan::Registry::SubId> subs_;
   std::vector<std::string> published_keys_;
-  std::deque<std::pair<std::function<void(sim::Context&)>, sim::Cycles>>
-      control_;
+  struct Control {
+    std::function<void(sim::Context&)> fn;
+    sim::Cycles cost = 0;
+    std::function<void()> on_drop;
+  };
+  std::deque<Control> control_;
   chan::RequestDb<Request> rdb_;
 
   ClockAdapter clock_adapter_{this};

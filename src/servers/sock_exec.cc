@@ -37,7 +37,7 @@ SockOpResult apply_tcp_op(net::TcpEngine& tcp, const WireSockOp& op) {
       break;
     case kSockListen:
       value = tcp.listen(op.sock, static_cast<int>(op.arg0));
-      res.changed = true;
+      res.changed = value != 0;
       break;
     case kSockConnect:
       // Completion is signalled by the Connected/Reset socket event.

@@ -23,8 +23,7 @@ struct SockOpResult {
   bool removed = false;  // the change was a close
 };
 
-// `changed`: a listen (refused or not; the hosts have always stored after
-// one) or the close of a listener.
+// `changed`: a listen the engine took, or the close of a listener.
 SockOpResult apply_tcp_op(net::TcpEngine& tcp, const WireSockOp& op);
 
 // `changed`: the socket table changed, by an open, bind, connect or close,

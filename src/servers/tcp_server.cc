@@ -166,7 +166,7 @@ void TcpServer::sock_batch(std::span<const WireSockOp> ops, sim::Context& ctx,
     if (res.changed) {
       if (res.removed) {
         replicate_close(op.sock, ctx);
-      } else if (res.reply.arg0 != 0) {
+      } else {
         // SO_REUSEPORT steering: every replica gets an accept queue for
         // this port, so the 4-tuple hash may land a SYN on any of them.
         for (const auto& rec : engine_->listeners()) {

@@ -1,7 +1,9 @@
 // Unit tests: channels — SPSC rings (incl. a real-thread stress test),
 // pools with rich pointers, request database, registry and channel manager.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -17,6 +19,7 @@
 #include "src/chan/request_db.h"
 #include "src/chan/spsc_ring.h"
 #include "src/sim/rng.h"
+#include "tests/resident_memory.h"
 
 using namespace newtos::chan;
 
@@ -179,6 +182,82 @@ TEST(Pool, DmaWriteRespectsBounds) {
   EXPECT_FALSE(pool.dma_write(p, big));
   pool.reset();
   EXPECT_FALSE(pool.dma_write(p, small));  // stale generation
+}
+
+// --- Pool memory -------------------------------------------------------------------------
+//
+// A pool reserves its size and commits a page only when it is first
+// written, so these tests watch the process's resident memory.
+
+namespace {
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+bool all_zero(std::span<const std::byte> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
+
+}  // namespace
+
+TEST(PoolMemory, CommitsPagesOnFirstWrite) {
+  const std::size_t before = resident_bytes();
+  Pool pool(1, "t", 256 * kMiB);
+  EXPECT_LT(resident_bytes(), before + 8 * kMiB);
+
+  RichPtr p = pool.alloc(32 * kMiB);
+  ASSERT_TRUE(p.valid());
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  auto w = pool.write_view(p);
+  for (std::size_t i = 0; i < w.size(); i += page) w[i] = std::byte{1};
+  EXPECT_GE(resident_bytes(), before + 24 * kMiB);
+}
+
+// Fresh chunks read as zero, as a zero-filled pool did, and reading them
+// commits nothing.
+TEST(PoolMemory, FreshChunksReadZero) {
+  const std::size_t before = resident_bytes();
+  Pool pool(1, "t", 256 * kMiB);
+  for (int i = 0; i < 16; ++i) {
+    RichPtr p = pool.alloc(kMiB);
+    ASSERT_TRUE(p.valid());
+    EXPECT_TRUE(all_zero(pool.read_view(p))) << "chunk " << i;
+  }
+  EXPECT_LT(resident_bytes(), before + 8 * kMiB);
+}
+
+// reset() drops the chunks but neither clears nor commits the bytes: a
+// chunk allocated again at the same offset holds what was written there.
+TEST(PoolMemory, ResetKeepsBytes) {
+  const std::size_t before = resident_bytes();
+  Pool pool(1, "t", 256 * kMiB);
+  RichPtr p = pool.alloc(kMiB);
+  ASSERT_TRUE(p.valid());
+  auto w = pool.write_view(p);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = std::byte(i % 251);
+  pool.reset();
+
+  RichPtr q = pool.alloc(kMiB);
+  ASSERT_EQ(q.offset, p.offset);
+  auto r = pool.read_view(q);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    ASSERT_EQ(r[i], std::byte(i % 251)) << "byte " << i;
+  }
+  EXPECT_LT(resident_bytes(), before + 8 * kMiB);
+}
+
+// A guard page on each side: a write one byte before a pool or one byte
+// past its end faults in every build, not only under a sanitizer.
+TEST(PoolMemoryDeathTest, GuardPagesCatchOverruns) {
+  Pool pool(1, "t", 64 * 1024);
+  RichPtr all = pool.alloc(64 * 1024);
+  ASSERT_TRUE(all.valid());
+  std::byte* first = pool.write_view(all).data();
+  auto* past = reinterpret_cast<volatile std::byte*>(first + pool.size());
+  auto* before = reinterpret_cast<volatile std::byte*>(
+      reinterpret_cast<std::uintptr_t>(first) - 1);
+  EXPECT_DEATH(*past = std::byte{1}, "");
+  EXPECT_DEATH(*before = std::byte{1}, "");
 }
 
 // The chunk table as a std::map from chunk offset to {length, refs}, with the

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/core/testbed.h"
+#include "tests/resident_memory.h"
 
 namespace newtos {
 namespace {
@@ -200,6 +201,28 @@ TEST(Config, PeerMirrorsReceiveSettings) {
   EXPECT_EQ(peer.rcvbuf_max, 700u * 1024);
   EXPECT_EQ(peer.cc_algo, "newreno");
   EXPECT_EQ(tb.newtos().config().tcp.cc_algo, "cubic");
+}
+
+// A testbed costs what it touches, not what its pools reserve.  The
+// bench/e2e faults arrangement (every plane on) reserves 480 MiB of pools
+// across its two nodes, 160 MiB of it for each checkpointing TCP replica.
+TEST(Config, TestbedCommitsOnlyWhatItTouches) {
+  TestbedOptions o;
+  o.mode = StackMode::kSplitSyscall;
+  o.nics = 2;
+  o.tso = false;
+  o.use_pf = true;
+  o.pf_filler_rules = 128;
+  o.tcp_shards = 2;
+  o.rx_queues = 2;
+  o.rx_coalesce_frames = 8;
+  o.rx_coalesce_usecs = 50;
+  o.gro = true;
+  o.tcp_checkpoint = true;
+  o.supervision = true;
+  const std::size_t before = resident_bytes();
+  Testbed tb(o);
+  EXPECT_LT(resident_bytes(), before + (std::size_t{64} << 20));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/socket.h"
@@ -289,8 +290,8 @@ TEST(SocketRingBatching, TwoOpensInOneFlushDoNotAlias) {
 }
 
 // The listener set is stored when it changes, on a listen and on a
-// listener's close, and not on the close of a connected socket.  The split
-// TCP server and the combined stack apply the same rule.
+// listener's close, and not on a refused listen or the close of a connected
+// socket.  The split TCP server and the combined stack apply the same rule.
 TEST(SocketControl, ListenerSetIsStoredOnlyWhenItChanges) {
   for (StackMode mode : {StackMode::kSplitSyscall, StackMode::kSingleServer}) {
     SCOPED_TRACE(to_string(mode));
@@ -312,6 +313,14 @@ TEST(SocketControl, ListenerSetIsStoredOnlyWhenItChanges) {
     tb.run_until(100 * sim::kMillisecond);
     ASSERT_TRUE(listen_ok);
     EXPECT_EQ(store.puts(), puts + 1) << "a listen";
+
+    TcpListener taken(*srv_app);
+    bool taken_ok = true;
+    taken.bind_listen(net::Ipv4Addr{}, 7000, 4,
+                      [&](bool ok) { taken_ok = ok; });
+    tb.run_until(150 * sim::kMillisecond);
+    EXPECT_FALSE(taken_ok);
+    EXPECT_EQ(store.puts(), puts + 1) << "a listen on a taken port";
 
     AppActor* cli_app = tb.peer().add_app("cli");
     TcpSocket client(*cli_app);
@@ -392,4 +401,52 @@ TEST(SocketControl, SyscallFailsTcpOpsAcrossATransportRestart) {
   EXPECT_TRUE(tcp->ready());
   EXPECT_EQ(completions, 1);
   EXPECT_FALSE(accepted);
+}
+
+// An op queued at a transport that dies before taking it fails once, and
+// an op that already ran is not completed again.  Without a SYSCALL server
+// (kSplit, and kMinixSync's combined stack) the app traps straight into
+// the transport and the op fails with kSockEDown; behind SYSCALL
+// (kSingleServer) the restarted transport's error reply fails it.
+TEST(SocketControl, OpsFailOnceWhenTheirTransportDies) {
+  const std::pair<StackMode, std::uint16_t> cases[] = {
+      {StackMode::kSplit, kSockEDown},
+      {StackMode::kMinixSync, kSockEDown},
+      {StackMode::kSingleServer, kSockERejected}};
+  for (const auto& [mode, err] : cases) {
+    SCOPED_TRACE(to_string(mode));
+    Testbed tb(options(mode));
+    AppActor* app = tb.newtos().add_app("app");
+    SocketRing& ring = app->ring();
+    std::vector<SockCqe> done;
+    auto record = [&](const SockCqe& c) { done.push_back(c); };
+
+    SockSqe open;
+    open.opcode = servers::kSockOpen;
+    open.proto = 'T';
+    ring.enqueue(open, record);
+    tb.run_until(100 * sim::kMillisecond);
+    ASSERT_EQ(done.size(), 1u);
+    ASSERT_TRUE(done[0].ok);
+
+    servers::Server* transport = tb.newtos().transport_server('T');
+    transport->hang();
+    SockSqe conn;
+    conn.opcode = servers::kSockConnect;
+    conn.proto = 'T';
+    conn.sock = done[0].sock;
+    conn.arg0 = tb.newtos().peer_addr(0).value;
+    conn.arg1 = 7000;
+    ring.enqueue(conn, record);
+    tb.run_until(110 * sim::kMillisecond);
+    EXPECT_EQ(done.size(), 1u);
+    transport->kill();
+    tb.run_until(1 * sim::kSecond);
+
+    ASSERT_EQ(done.size(), 2u);
+    EXPECT_EQ(done[1].opcode, servers::kSockConnect);
+    EXPECT_FALSE(done[1].ok);
+    EXPECT_EQ(done[1].err, err);
+    EXPECT_EQ(ring.completions(), ring.ops());
+  }
 }
