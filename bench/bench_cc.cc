@@ -117,9 +117,11 @@ ScenarioResult run_dumbbell(const std::string& cc_a, const std::string& cc_b,
   res.avg_queue = w.avg_queue_depth(0);  // end 0: the newtos -> peer FIFO
   res.max_queue = w.max_queue_depth();
   res.queue_drops = w.queue_drops();
-  tb.newtos().publish_channel_stats();
-  res.fast_retx = tb.newtos().stats().get("tcp.cc.fast_retransmits");
-  res.pacing_delays = tb.newtos().stats().get("tcp.cc.pacing_delays");
+  for (int s = 0; s < tb.newtos().tcp_shard_count(); ++s) {
+    const net::TcpEngine::Stats& st = tb.newtos().tcp_engine(s)->stats();
+    res.fast_retx += st.fast_retransmits;
+    res.pacing_delays += st.pacing_delays;
+  }
   return res;
 }
 

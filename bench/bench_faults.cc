@@ -526,9 +526,10 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     outcomes.push_back(r);
   }
-  // Observability roll-up (rein.* / drv.* node stats) from a final
-  // supervised pass: re-run the first three faults of the schedule in ONE
-  // testbed so restart/backoff/wedge counters accumulate visibly.
+  // Observability roll-up (the reincarnation server's per-child restarts
+  // and backoff, the drivers' wedge resets) from a final supervised pass:
+  // re-run the first three faults of the schedule in ONE testbed so the
+  // counters accumulate visibly.
   {
     TestbedOptions sopts;
     sopts.mode = StackMode::kSplitSyscall;
@@ -569,14 +570,19 @@ int main(int argc, char** argv) {
     fi.inject_at(5 * sim::kSecond, servers::kIpName, FaultType::Hang);
     fi.inject_at(9 * sim::kSecond, "drv0", FaultType::DeviceWedge);
     stb.run_until(16 * sim::kSecond);
-    stb.newtos().publish_channel_stats();
-    const auto& st = stb.newtos().stats();
+    Node& node = stb.newtos();
+    const auto& children = node.reincarnation()->child_stats();
     for (const char* comp : {"tcp", "udp", "ip", "pf", "drv0", "drv1"}) {
+      const auto it = children.find(comp);
       restarts_by_comp[comp] +=
-          st.get(std::string("rein.restarts.") + comp);
+          it == children.end() ? 0 : it->second.restarts;
     }
-    wedge_resets_total += st.get("drv.wedge_resets");
-    backoff_ms_total += st.get("rein.backoff_ms");
+    for (int i = 0; i < node.nic_count(); ++i) {
+      const auto* drv = dynamic_cast<servers::DriverServer*>(
+          node.server(servers::driver_name(i)));
+      if (drv != nullptr) wedge_resets_total += drv->wedge_resets();
+    }
+    backoff_ms_total += node.reincarnation()->backoff_ms_total();
   }
   std::printf("campaign observability:");
   std::uint64_t restarts_total = 0;

@@ -1,8 +1,5 @@
 #include "src/core/node.h"
 
-#include <algorithm>
-#include <array>
-#include <map>
 #include <stdexcept>
 
 #include "src/core/socket_ring.h"
@@ -165,20 +162,15 @@ void Node::build() {
   tcp_opts.tso = cfg_.tso;
   tcp_opts.checkpoint = cfg_.tcp_checkpoint;
 
-  // Storage clients depend on the arrangement.
-  std::vector<std::string> store_clients;
-  if (cfg_.combined_stack()) {
-    store_clients = {servers::kStackName};
-  } else {
+  if (!cfg_.combined_stack()) {
     for (int s = 0; s < tcp_shards; ++s)
-      store_clients.push_back(servers::tcp_shard_name(s));
+      transports_.push_back(servers::tcp_shard_name(s));
     for (int s = 0; s < udp_shards; ++s)
-      store_clients.push_back(servers::udp_shard_name(s));
-    store_clients.push_back(servers::kIpName);
-    if (cfg_.use_pf) store_clients.push_back(servers::kPfName);
+      transports_.push_back(servers::udp_shard_name(s));
   }
+
   auto store = std::make_unique<servers::StorageServer>(
-      &env_, fresh_core("store"), store_clients);
+      &env_, fresh_core("store"), stack_servers());
   store_ = store.get();
   servers_.emplace(servers::kStoreName, std::move(store));
   boot_order_.push_back(servers::kStoreName);
@@ -214,13 +206,8 @@ void Node::build() {
     boot_order_.push_back(servers::kStackName);
   } else {
     if (cfg_.use_pf) {
-      std::vector<std::string> transports;
-      for (int s = 0; s < tcp_shards; ++s)
-        transports.push_back(servers::tcp_shard_name(s));
-      for (int s = 0; s < udp_shards; ++s)
-        transports.push_back(servers::udp_shard_name(s));
       auto pf = std::make_unique<servers::PfServer>(
-          &env_, fresh_core("pf"), make_rules(), std::move(transports));
+          &env_, fresh_core("pf"), make_rules(), transports_);
       pf_ = pf.get();
       servers_.emplace(servers::kPfName, std::move(pf));
       boot_order_.push_back(servers::kPfName);
@@ -271,16 +258,12 @@ void Node::build() {
   }
 
   if (cfg_.has_syscall_server()) {
-    std::vector<std::string> tcp_targets;
-    std::vector<std::string> udp_targets;
-    if (cfg_.combined_stack()) {
-      tcp_targets = {servers::kStackName};
-      udp_targets = {servers::kStackName};
-    } else {
-      for (int s = 0; s < tcp_shards; ++s)
-        tcp_targets.push_back(servers::tcp_shard_name(s));
-      for (int s = 0; s < udp_shards; ++s)
-        udp_targets.push_back(servers::udp_shard_name(s));
+    std::vector<std::string> tcp_targets = {servers::kStackName};
+    std::vector<std::string> udp_targets = {servers::kStackName};
+    if (!cfg_.combined_stack()) {
+      const auto udp_begin = transports_.begin() + tcp_shards;
+      tcp_targets.assign(transports_.begin(), udp_begin);
+      udp_targets.assign(udp_begin, transports_.end());
     }
     auto sys = std::make_unique<servers::SyscallServer>(
         &env_, fresh_core("syscall"), std::move(tcp_targets),
@@ -299,18 +282,7 @@ void Node::build() {
   // probe stream.  The transport replicas come first: they are the
   // component the paper had to restart manually when it wedged silently.
   if (cfg_.supervision && !cfg_.combined_stack()) {
-    std::vector<std::string> targets;
-    for (int s = 0; s < tcp_shards; ++s)
-      targets.push_back(servers::tcp_shard_name(s));
-    for (int s = 0; s < udp_shards; ++s)
-      targets.push_back(servers::udp_shard_name(s));
-    targets.push_back(servers::kIpName);
-    if (cfg_.use_pf) targets.push_back(servers::kPfName);
-    if (!inline_drivers) {
-      for (int i = 0; i < cfg_.nics; ++i)
-        targets.push_back(servers::driver_name(i));
-    }
-    rs_->set_probe_targets(std::move(targets));
+    rs_->set_probe_targets(injectable());
   }
 }
 
@@ -342,128 +314,6 @@ std::uint64_t Node::publish_channel_stats() {
     total += failures;
   }
   stats_.set("chan.send_failures", total);
-  // The drop/defer policy's other blind spot: frames the drivers had to
-  // drop because IP's queue was full.  Counted per driver and in total.
-  std::uint64_t rx_dropped = 0;
-  std::uint64_t rx_fast = 0;
-  std::map<int, std::array<std::uint64_t, 4>> per_queue;
-  int max_queues = 1;
-  for (const auto& [name, srv] : servers_) {
-    auto* drv = dynamic_cast<servers::DriverServer*>(srv.get());
-    if (drv == nullptr) continue;
-    if (drv->rx_dropped() > 0) {
-      stats_.set(name + ".rx_dropped", drv->rx_dropped());
-    }
-    rx_dropped += drv->rx_dropped();
-    rx_fast += drv->rx_fast_frames();
-    // Per-queue RSS counters, aggregated across the NICs: queue q of every
-    // NIC homes on the same transport shard, so the per-queue totals are
-    // the per-shard receive load.
-    max_queues = std::max(max_queues, drv->nic().rx_queue_count());
-    for (int q = 0; q < drv->nic().rx_queue_count(); ++q) {
-      const auto& qs = drv->nic().queue_stats(q);
-      auto& agg = per_queue[q];
-      agg[0] += qs.rx_frames;
-      agg[1] += qs.rx_bursts;
-      agg[2] += qs.rx_timer_flushes;
-      agg[3] += drv->rx_dropped_queue(q);
-    }
-  }
-  stats_.set("drv.rx_dropped", rx_dropped);
-  if (max_queues > 1) {
-    stats_.set("drv.rx_fast_frames", rx_fast);
-    for (const auto& [q, agg] : per_queue) {
-      const std::string prefix = "drv.q" + std::to_string(q) + ".";
-      stats_.set(prefix + "rx_frames", agg[0]);
-      stats_.set(prefix + "rx_bursts", agg[1]);
-      stats_.set(prefix + "rx_timer_flushes", agg[2]);
-      stats_.set(prefix + "rx_dropped", agg[3]);
-    }
-    // The receiving half of the same picture: frames each shard's fast
-    // path consumed locally vs handed back to the classic IP path.
-    for (const auto* tcp : tcp_shards_) {
-      if (tcp->fastpath() == nullptr) continue;
-      stats_.set(tcp->name() + ".rx_fast_frames",
-                 tcp->fastpath()->stats().fast_frames);
-      stats_.set(tcp->name() + ".rx_fallback_frames",
-                 tcp->fastpath()->stats().fallback_frames);
-    }
-    for (const auto* udp : udp_shards_) {
-      if (udp->fastpath() == nullptr) continue;
-      stats_.set(udp->name() + ".rx_fast_frames",
-                 udp->fastpath()->stats().fast_frames);
-      stats_.set(udp->name() + ".rx_fallback_frames",
-                 udp->fastpath()->stats().fallback_frames);
-    }
-  }
-  // Connection-checkpoint overhead (0 with tcp_checkpoint off): journal
-  // puts to the storage server and the bytes they carried.
-  std::uint64_t ckpt_puts = 0;
-  std::uint64_t ckpt_bytes = 0;
-  for (const auto* tcp : tcp_shards_) {
-    if (tcp->ckpt_puts() > 0) {
-      stats_.set(tcp->name() + ".ckpt_puts", tcp->ckpt_puts());
-    }
-    ckpt_puts += tcp->ckpt_puts();
-    ckpt_bytes += tcp->ckpt_bytes();
-  }
-  stats_.set("tcp.ckpt_puts", ckpt_puts);
-  stats_.set("tcp.ckpt_bytes", ckpt_bytes);
-  // Checkpoint overflow events: per-connection ring overflows (those still
-  // degrade to non-recoverable) plus directory continuation-page spills
-  // (handled by chained paging; the count proves the paging engaged).
-  std::uint64_t ckpt_overflow = 0;
-  for (const auto* tcp : tcp_shards_) ckpt_overflow += tcp->ckpt_overflows();
-  stats_.set("tcp.ckpt_overflow", ckpt_overflow);
-  // Supervision-plane observability: what the escalation ladder actually
-  // did.  Published whenever the reincarnation server saw any action, so a
-  // campaign can assert them non-zero.
-  if (rs_ != nullptr) {
-    for (const auto& [comp, cs] : rs_->child_stats()) {
-      if (cs.restarts > 0) {
-        stats_.set("rein.restarts." + comp, cs.restarts);
-      }
-      if (cs.detect_ms >= 0.0) {
-        stats_.set("rein.detect_ms." + comp,
-                   static_cast<std::uint64_t>(cs.detect_ms));
-      }
-    }
-    stats_.set("rein.backoff_ms", rs_->backoff_ms_total());
-  }
-  std::uint64_t wedge_resets = 0;
-  for (const auto& [name, srv] : servers_) {
-    auto* drv = dynamic_cast<servers::DriverServer*>(srv.get());
-    if (drv != nullptr) wedge_resets += drv->wedge_resets();
-  }
-  stats_.set("drv.wedge_resets", wedge_resets);
-  // Congestion-control observability, aggregated across the transport
-  // replicas: recovery entries, the instantaneous cwnd total, and how often
-  // the pacing timer had to hold the TX path back (non-zero only with a
-  // rate-based algorithm).
-  std::uint64_t cc_fast_retx = 0;
-  std::uint64_t cc_cwnd_now = 0;
-  std::uint64_t cc_pacing_delays = 0;
-  for (int s = 0; s < tcp_shard_count(); ++s) {
-    const net::TcpEngine* eng = tcp_engine(s);
-    if (eng == nullptr) continue;
-    cc_fast_retx += eng->stats().fast_retransmits;
-    cc_cwnd_now += eng->cwnd_sum();
-    cc_pacing_delays += eng->stats().pacing_delays;
-  }
-  stats_.set("tcp.cc.fast_retransmits", cc_fast_retx);
-  stats_.set("tcp.cc.cwnd_now", cc_cwnd_now);
-  stats_.set("tcp.cc.pacing_delays", cc_pacing_delays);
-  // Wire-level WAN emulation counters (0 on a plain LAN wire).
-  std::uint64_t wire_queue_drops = 0;
-  std::uint64_t wire_reordered = 0;
-  for (const auto& nic : nics_) {
-    const drv::Wire* w = nic->wire();
-    if (w == nullptr) continue;
-    wire_queue_drops += w->queue_drops();
-    wire_reordered += w->reordered();
-  }
-  stats_.set("wire.queue_drops", wire_queue_drops);
-  stats_.set("wire.reordered", wire_reordered);
   return total;
 }
 
@@ -517,21 +367,18 @@ net::IpEngine* Node::ip_engine() const {
   return ip_ != nullptr ? ip_->engine() : nullptr;
 }
 
+std::vector<std::string> Node::stack_servers() const {
+  if (cfg_.combined_stack()) return {servers::kStackName};
+  std::vector<std::string> out = transports_;
+  out.push_back(servers::kIpName);
+  if (cfg_.use_pf) out.push_back(servers::kPfName);
+  return out;
+}
+
 std::vector<std::string> Node::injectable() const {
-  std::vector<std::string> out;
-  if (cfg_.combined_stack()) {
-    out.push_back(servers::kStackName);
-  } else {
-    for (std::size_t s = 0; s < tcp_shards_.size(); ++s)
-      out.push_back(servers::tcp_shard_name(static_cast<int>(s)));
-    for (std::size_t s = 0; s < udp_shards_.size(); ++s)
-      out.push_back(servers::udp_shard_name(static_cast<int>(s)));
-    out.push_back(servers::kIpName);
-    if (cfg_.use_pf) out.push_back(servers::kPfName);
-  }
-  for (int i = 0; i < cfg_.nics; ++i) {
-    if (cfg_.mode != StackMode::kIdealMonolithic)
-      out.push_back(servers::driver_name(i));
+  std::vector<std::string> out = stack_servers();
+  if (cfg_.mode != StackMode::kIdealMonolithic) {
+    for (int i = 0; i < cfg_.nics; ++i) out.push_back(servers::driver_name(i));
   }
   return out;
 }

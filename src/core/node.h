@@ -54,11 +54,20 @@ class Node {
   // (see src/core/socket_ring.h) and boots it.
   AppActor* add_app(const std::string& name);
 
-  // Publishes per-queue "chan.<queue>.send_failures" counters (plus the
-  // "chan.send_failures" total) and the drivers' "drv.rx_dropped" into
-  // stats() and returns the send-failure total — the Section IV-A
-  // drop/defer policy made visible instead of silent.
+  // Publishes a "chan.<from>><to>.send_failures" counter for each queue
+  // that rejected a send, plus the "chan.send_failures" total, into stats()
+  // and returns that total: the Section IV-A drop/defer policy made visible
+  // instead of silent.  Only the channel counters live here.  Every other
+  // count is read from the object that keeps it: DriverServer (rx_dropped,
+  // rx_fast_frames, wedge_resets), SimNic::queue_stats, IpFastPath::stats,
+  // TcpServer (ckpt_puts, ckpt_bytes, ckpt_overflows),
+  // ReincarnationServer (child_stats, backoff_ms_total), TcpEngine::stats
+  // and drv::Wire.
   std::uint64_t publish_channel_stats();
+  // The node's channel queues by name ("<from>><to>").
+  const std::map<std::string, std::unique_ptr<chan::Queue>>& queues() const {
+    return queues_;
+  }
   // Messages successfully sent over this node's channels so far — the
   // numerator of the benches' msgs-per-frame datapoints.
   std::uint64_t total_channel_messages() const;
@@ -109,6 +118,9 @@ class Node {
   friend class Socket;
 
   void build();
+  // The servers that make up the stack, the storage server's clients: the
+  // combined stack, or the transport replicas, IP and PF.
+  std::vector<std::string> stack_servers() const;
   net::IpConfig make_ip_config() const;
   std::vector<net::PfRule> make_rules() const;
   sim::SimCore* fresh_core(const std::string& name);
@@ -136,6 +148,10 @@ class Node {
   servers::SyscallServer* syscall_ = nullptr;
   std::vector<servers::TcpServer*> tcp_shards_;  // one replica per shard
   std::vector<servers::UdpServer*> udp_shards_;
+  // The split stack's transport replica names, TCP shards first: every
+  // per-replica list (storage clients, PF, SYSCALL, probes, faults) keeps
+  // this order.  Empty for a combined stack.
+  std::vector<std::string> transports_;
   servers::IpServer* ip_ = nullptr;
   servers::PfServer* pf_ = nullptr;
   servers::StackServer* stack_ = nullptr;

@@ -67,8 +67,8 @@ void SocketRing::do_flush(sim::Context& ctx) {
                                         batch.size()));
   }
 
-  if (cfg.has_syscall_server() && node_.syscall() != nullptr) {
-    node_.syscall()->submit_batch(std::move(batch), reply_);
+  if (servers::SyscallServer* sys = node_.syscall()) {
+    sys->submit_batch(std::move(batch), reply_);
     return;
   }
   route_direct(std::move(batch));

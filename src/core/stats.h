@@ -26,7 +26,6 @@ class StatsHub {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
-  void reset(const std::string& name) { counters_[name] = 0; }
   // Overwrites (for gauges sampled from elsewhere, e.g. queue drop totals).
   void set(const std::string& name, std::uint64_t value) {
     counters_[name] = value;

@@ -70,7 +70,7 @@ void SimNic::attach_wire(Wire* wire, int end) {
 }
 
 bool SimNic::tx_post(net::TxFrame frame, std::uint64_t cookie) {
-  if (static_cast<int>(tx_ring_.size()) >= cfg_.tx_ring) {
+  if (static_cast<int>(tx_ring_.size()) >= kTxRing) {
     ++stats_.tx_ring_full;
     return false;
   }
@@ -83,7 +83,7 @@ bool SimNic::tx_post(net::TxFrame frame, std::uint64_t cookie) {
 bool SimNic::rx_post(int queue, chan::RichPtr buffer) {
   if (queue < 0 || queue >= num_queues_) return false;
   auto& ring = rx_rings_[queue];
-  if (static_cast<int>(ring.size()) >= cfg_.rx_ring) return false;
+  if (static_cast<int>(ring.size()) >= kRxRing) return false;
   ring.push_back(buffer);
   return true;
 }
@@ -306,7 +306,7 @@ void SimNic::reset() {
     if (on_link_) on_link_(false);
   }
   const std::uint32_t epoch = reset_epoch_;
-  sim_.after(cfg_.reset_link_delay, [this, epoch] {
+  sim_.after(kResetLinkDelay, [this, epoch] {
     if (epoch != reset_epoch_) return;
     link_up_ = true;
     if (on_link_) on_link_(true);

@@ -34,10 +34,13 @@ namespace newtos::drv {
 
 class SimNic {
  public:
+  // Descriptors per TX ring and per RX queue's ring.
+  static constexpr int kTxRing = 256;
+  static constexpr int kRxRing = 256;
+  // How long the link renegotiates after a reset().
+  static constexpr sim::Time kResetLinkDelay = 1500 * sim::kMillisecond;
+
   struct Config {
-    int tx_ring = 256;
-    int rx_ring = 256;
-    std::uint32_t mtu = 1500;
     // Receive interrupt coalescing (e1000 RDTR/RADV style): the device
     // accumulates completed RX descriptors and raises ONE interrupt per
     // burst, bounded by a frame count and an absolute timer.  Values <= 1
@@ -48,7 +51,6 @@ class SimNic {
     // accumulator and hold-off timer; 1 (the default) is the classic
     // single-queue device.
     int rx_queues = 1;
-    sim::Time reset_link_delay = 1500 * sim::kMillisecond;
   };
 
   struct Stats {
@@ -149,14 +151,14 @@ class SimNic {
   bool rx_post(int queue, chan::RichPtr buffer);
 
   int tx_ring_free() const {
-    return cfg_.tx_ring - static_cast<int>(tx_ring_.size());
+    return kTxRing - static_cast<int>(tx_ring_.size());
   }
   int rx_ring_level() const;            // all queues
   int rx_ring_level(int queue) const;
 
   // Full device reset: rings are dropped (shadow descriptors cannot be
   // invalidated selectively), pending TX completions are lost, and the link
-  // renegotiates for reset_link_delay.
+  // renegotiates for kResetLinkDelay.
   void reset();
 
   // Fault injection: a misconfigured device silently drops received frames

@@ -249,7 +249,7 @@ bool TcpEngine::connect(SockId s, Ipv4Addr dst, std::uint16_t port) {
   c.cc = make_cc(lport, port);
   sync_cc(c);
   c.rto = kRtoInitial;
-  c.snd_wnd = opts_.mss;  // until the peer tells us
+  c.snd_wnd = kMss;  // until the peer tells us
   conns_.emplace(s, std::move(c));
   by_tuple_[ConnKey{dst.value, port, lport}] = s;
 
@@ -348,7 +348,7 @@ std::size_t TcpEngine::consume(SockId s, std::size_t n) {
   }
   // Window update: if the window was effectively closed and just reopened,
   // tell the peer (we have no persist timer; see DESIGN.md).
-  if (done > 0 && space_before < opts_.mss && rcv_space(*c) >= opts_.mss &&
+  if (done > 0 && space_before < kMss && rcv_space(*c) >= kMss &&
       c->state == TcpState::Established) {
     send_ack(*c);
   }
@@ -482,9 +482,9 @@ void TcpEngine::send_segment(Conn& c, std::uint32_t seq, std::uint32_t len,
   seg.src = c.local;
   seg.dst = c.peer;
   seg.protocol = kProtoTcp;
-  seg.offload.tso = opts_.tso && len > opts_.mss;
+  seg.offload.tso = opts_.tso && len > kMss;
   seg.offload.csum_offload = true;  // IP decides; flag travels with the frame
-  seg.offload.mss = opts_.mss;
+  seg.offload.mss = kMss;
 
   // Gather payload refs [seq, seq+len) as sub-ranges of send chunks.
   if (len > 0) {
@@ -639,7 +639,7 @@ void TcpEngine::tcp_output(Conn& c) {
     // Bytes of queued payload not yet sent.
     const std::uint32_t unsent =
         seq_lt(c.snd_nxt, fin_seq) ? fin_seq - c.snd_nxt : 0;
-    const std::uint32_t max_seg = opts_.tso ? kTsoMaxPayload : opts_.mss;
+    const std::uint32_t max_seg = opts_.tso ? kTsoMaxPayload : kMss;
     const std::uint32_t len =
         std::min({unsent, wnd_avail, max_seg});
 
@@ -803,7 +803,7 @@ void TcpEngine::process_ack(Conn& c, const TcpHeader& h) {
           std::uint32_t at = ack;
           for (int k = 0; k < 2 && seq_lt(at, c.snd_buf_end); ++k) {
             const std::uint32_t n =
-                std::min<std::uint32_t>(opts_.mss, c.snd_buf_end - at);
+                std::min<std::uint32_t>(kMss, c.snd_buf_end - at);
             send_segment(
                 c, at, n,
                 static_cast<std::uint8_t>(tcpflag::kAck | tcpflag::kPsh),
@@ -858,7 +858,7 @@ void TcpEngine::process_ack(Conn& c, const TcpHeader& h) {
       c.cc->on_enter_recovery(flight_size(c), now);
       sync_cc(c);
       const std::uint32_t resend =
-          std::min<std::uint32_t>(opts_.mss, c.snd_nxt - c.snd_una);
+          std::min<std::uint32_t>(kMss, c.snd_nxt - c.snd_una);
       // The retransmitted range may include the FIN.
       const bool fin_at_una = c.fin_queued && c.snd_una == c.snd_buf_end;
       if (fin_at_una) {
@@ -1440,7 +1440,7 @@ bool TcpEngine::restore_conn(const RestoredConn& rec) {
   c.iss = rec.snd_una;
   c.snd_una = rec.snd_una;
   c.snd_nxt = rec.snd_una;  // go-back-N: resync retransmits from here
-  c.snd_wnd = std::max<std::uint32_t>(rec.snd_wnd, opts_.mss);
+  c.snd_wnd = std::max<std::uint32_t>(rec.snd_wnd, kMss);
   // Congestion state: prefer the checkpointed CC blob so the restored
   // connection resumes at its learned rate; fall back to a fresh module
   // (conservative slow start) for v1 records or a mismatched algorithm.
@@ -1575,17 +1575,6 @@ std::optional<TcpEngine::CcInfo> TcpEngine::cc_info(SockId s) const {
   info.ssthresh = c->cc->ssthresh();
   info.pacing_rate = c->cc->pacing_rate();
   return info;
-}
-
-std::uint64_t TcpEngine::cwnd_sum() const {
-  std::uint64_t sum = 0;
-  for (const auto& [sock, c] : conns_) {
-    if (c.state == TcpState::Established || c.state == TcpState::CloseWait ||
-        c.state == TcpState::FinWait1) {
-      sum += c.cwnd;
-    }
-  }
-  return sum;
 }
 
 std::vector<SockId> TcpEngine::connection_socks() const {

@@ -69,8 +69,11 @@ enum class TcpEvent : std::uint8_t {
 };
 
 // Protocol constants every node shares.
+inline constexpr std::uint16_t kMss = 1460;
 // Max payload of one TSO superframe; keeps total_length <= 65535.
-inline constexpr std::uint32_t kTsoMaxPayload = 42 * 1460;  // 61320
+inline constexpr std::uint32_t kTsoMaxPayload = 42 * kMss;  // 61320
+// Initial congestion window, in segments.
+inline constexpr std::uint32_t kInitialCwndSegs = 10;
 // Window scale applied by both ends of the simulation (negotiation is not
 // modelled on the wire; see DESIGN.md fidelity notes).
 inline constexpr std::uint8_t kWscale = 6;
@@ -81,11 +84,9 @@ inline constexpr sim::Time kTimeWait = 1 * sim::kSecond;
 inline constexpr int kSynRetries = 5;
 
 struct TcpOptions {
-  std::uint16_t mss = 1460;
   bool tso = false;
   std::uint32_t sndbuf_max = 1 << 20;
   std::uint32_t rcvbuf_max = 1 << 20;
-  std::uint32_t initial_cwnd_segs = 10;
   sim::Time rto_min = 200 * sim::kMillisecond;
   // Connection checkpointing (the Table I limitation, removed): established
   // connections journal their TCB through the host server's checkpoint sink
@@ -383,8 +384,6 @@ class TcpEngine {
     std::uint64_t pacing_rate = 0;  // bytes/sec; 0 = unpaced
   };
   std::optional<CcInfo> cc_info(SockId s) const;
-  // Sum of cwnd over synchronized connections (the tcp.cc.cwnd_now gauge).
-  std::uint64_t cwnd_sum() const;
   std::vector<SockId> connection_socks() const;
 
   const Stats& stats() const { return stats_; }
@@ -557,8 +556,7 @@ class TcpEngine {
 
   // --- congestion-control plumbing ---------------------------------------------------
   cc::CcConfig cc_config() const {
-    return cc::CcConfig{opts_.mss,
-                        opts_.initial_cwnd_segs * std::uint32_t{opts_.mss},
+    return cc::CcConfig{kMss, kInitialCwndSegs * std::uint32_t{kMss},
                         opts_.ssthresh_init};
   }
   // Builds the module for a connection: a cc_by_port match (local or peer

@@ -16,12 +16,10 @@ void DriverServer::forward_rx_frame(const drv::SimNic::RxCompletion& c,
   m.ptr.length = c.len;  // actual frame length within the buffer
   ++rx_msgs_;
   if (!send_to(ip_name_, m, ctx)) {
-    // IP is down or its queue is full: the frame is dropped; the buffer
-    // itself belongs to IP's pool and will be recovered when IP reposts
-    // buffers.  Not silent any more: the drop is counted and surfaced
-    // through Node::publish_channel_stats.
+    // IP is down or its queue is full: the frame is dropped and counted
+    // in rx_dropped(); the buffer itself belongs to IP's pool and will be
+    // recovered when IP reposts buffers.
     ++rx_dropped_;
-    if (c.queue < rx_dropped_q_.size()) ++rx_dropped_q_[c.queue];
   }
 }
 
@@ -30,9 +28,7 @@ DriverServer::DriverServer(NodeEnv* env, sim::SimCore* core, drv::SimNic* nic,
     : Server(env, driver_name(ifindex), core),
       nic_(nic),
       ifindex_(ifindex),
-      ip_name_(std::move(ip_name)) {
-  rx_dropped_q_.resize(nic_->rx_queue_count(), 0);
-}
+      ip_name_(std::move(ip_name)) {}
 
 void DriverServer::enable_fast_path(int tcp_shards, int udp_shards) {
   fast_path_ = true;
@@ -100,9 +96,7 @@ void DriverServer::send_run_to_ip(
   m.arg0 = run.size();
   ++rx_msgs_;
   if (!send_to(ip_name_, m, ctx)) {
-    const std::size_t queue = run.front().queue;
     rx_dropped_ += run.size();
-    if (queue < rx_dropped_q_.size()) rx_dropped_q_[queue] += run.size();
     burst_pool_->release(desc);
   }
 }

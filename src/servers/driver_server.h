@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/drv/nic.h"
 #include "src/servers/proto.h"
@@ -46,11 +45,6 @@ class DriverServer : public Server {
   std::uint64_t rx_frames() const { return rx_frames_; }
   // Frames dropped because IP's queue was full (or IP was down).
   std::uint64_t rx_dropped() const { return rx_dropped_; }
-  std::uint64_t rx_dropped_queue(int queue) const {
-    return queue < static_cast<int>(rx_dropped_q_.size())
-               ? rx_dropped_q_[queue]
-               : 0;
-  }
   // Frames that took the RSS fast path straight to a transport replica.
   std::uint64_t rx_fast_frames() const { return rx_fast_frames_; }
   // Device resets issued by the wedge watchdog (supervision only): the MAC
@@ -107,7 +101,6 @@ class DriverServer : public Server {
   std::uint64_t rx_frames_ = 0;
   std::uint64_t rx_dropped_ = 0;
   std::uint64_t rx_fast_frames_ = 0;
-  std::vector<std::uint64_t> rx_dropped_q_;
   // Frames waiting for TX ring slots.  The driver never blocks on a full
   // ring (Section IV-A); it buffers a bounded backlog and sheds beyond it.
   std::deque<std::pair<net::TxFrame, std::uint64_t>> tx_backlog_;

@@ -4,6 +4,20 @@
 
 namespace newtos::servers {
 
+namespace {
+
+chan::Message error_reply(const WireSockOp& op) {
+  chan::Message err;
+  err.opcode = kSockReply;
+  err.req_id = op.req_id;
+  err.socket = op.sock;
+  err.arg0 = 0;
+  err.flags = 1;  // error
+  return err;
+}
+
+}  // namespace
+
 SyscallServer::SyscallServer(NodeEnv* env, sim::SimCore* core,
                              std::vector<std::string> tcp_targets,
                              std::vector<std::string> udp_targets)
@@ -32,8 +46,9 @@ void SyscallServer::start(bool restart) {
     expose_in_queue(t, 1024);
     connect_out(t);
   }
-  // Stateless: restart is trivial (Section V-B).  In-flight calls get
-  // errors; old replies are ignored because pending_ died with us.
+  // Stateless: restart is trivial (Section V-B).  In-flight calls got
+  // errors when we died (on_killed); old replies are ignored because their
+  // ids died with pending_.
   announce(restart);
 }
 
@@ -42,31 +57,55 @@ void SyscallServer::submit_batch(std::vector<WireSockOp> ops,
   if (ops.empty()) return;
   calls_ += ops.size();
   ++batches_;
+  if (!alive()) {
+    // Dead, waiting for reincarnation: no kernel message can reach us.
+    for (const WireSockOp& op : ops) refuse(op, reply);
+    return;
+  }
   // The whole batch arrives under one kernel-IPC message — this is the
   // trap amortization the submission ring buys.
+  inbox_.push_back(Submission{std::move(ops), &reply});
   post_kernel_msg(
-      [this, ops = std::move(ops), reply = &reply](sim::Context& ctx) {
-        forward_batch(ops, *reply, ctx);
+      [this](sim::Context& ctx) {
+        const Submission s = std::move(inbox_[inbox_head_++]);
+        if (inbox_head_ == inbox_.size()) {
+          inbox_.clear();
+          inbox_head_ = 0;
+        }
+        forward_batch(s.ops, *s.reply, ctx);
       },
       100);
 }
 
-void SyscallServer::fail_op(const Pending& p) {
-  // The op never reached a transport: hand any payload the app staged in
-  // the transport's exported buffer back (the engine only takes ownership
-  // once the op executes).
-  if (p.op.ptr.valid()) {
-    if (chan::Pool* pool = env().pools->find(p.op.ptr.pool)) {
-      pool->release(p.op.ptr);
+void SyscallServer::on_killed() {
+  // These ops reached a transport, which may have run them and so own
+  // their payloads (see ~SyscallServer): only the chunk references go.
+  pending_.abort_if([](const Pending&) { return true; },
+                    [this](std::uint64_t, Pending&& p) {
+                      (*p.reply)(error_reply(p.op));
+                      release_chunk(p);
+                    });
+  for (; inbox_head_ < inbox_.size(); ++inbox_head_) {
+    const Submission& s = inbox_[inbox_head_];
+    for (const WireSockOp& op : s.ops) refuse(op, *s.reply);
+  }
+  inbox_.clear();
+  inbox_head_ = 0;
+}
+
+void SyscallServer::refuse(const WireSockOp& op, const SockReplyFn& reply) {
+  // The engine only takes ownership of a payload the app staged in the
+  // transport's exported buffer once the op executes.
+  if (op.ptr.valid()) {
+    if (chan::Pool* pool = env().pools->find(op.ptr.pool)) {
+      pool->release(op.ptr);
     }
   }
-  chan::Message err;
-  err.opcode = kSockReply;
-  err.req_id = p.op.req_id;
-  err.socket = p.op.sock;
-  err.arg0 = 0;
-  err.flags = 1;  // error
-  (*p.reply)(err);
+  reply(error_reply(op));
+}
+
+void SyscallServer::fail_op(const Pending& p) {
+  refuse(p.op, *p.reply);
   release_chunk(p);
 }
 

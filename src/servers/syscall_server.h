@@ -41,7 +41,9 @@ class SyscallServer : public Server {
   // app-side trap), then travels to each transport shard as ONE packed
   // kSockBatch channel message.  Each op's kSockReply goes to `reply` with
   // the op's own req_id (the submitter's cookie); `reply` is the
-  // submitter's one callback and must outlive the ops.
+  // submitter's one callback and must outlive the ops.  Every op gets
+  // exactly one reply: an error when this server is down, or dies before
+  // the op's own reply reaches it.
   void submit_batch(std::vector<WireSockOp> ops, const SockReplyFn& reply);
 
   std::uint64_t calls() const { return calls_; }
@@ -53,6 +55,9 @@ class SyscallServer : public Server {
                   sim::Context& ctx) override;
   void on_peer_up(const std::string& peer, bool restarted,
                   sim::Context& ctx) override;
+  // Fails every op a crash leaves without a reply: the flushes not taken
+  // yet and the ops still waiting for a transport.
+  void on_killed() override;
 
  private:
   struct Pending {
@@ -72,8 +77,17 @@ class SyscallServer : public Server {
   chan::RichPtr send_batch(const std::string& target,
                            std::span<const WireSockOp> ops, sim::Context& ctx);
 
+  // A submission-queue flush waiting for its kernel message.
+  struct Submission {
+    std::vector<WireSockOp> ops;
+    const SockReplyFn* reply = nullptr;
+  };
+
   void forward_batch(const std::vector<WireSockOp>& ops,
                      const SockReplyFn& reply, sim::Context& ctx);
+  // Fails an op that never reached a transport, handing back the payload
+  // it staged.
+  void refuse(const WireSockOp& op, const SockReplyFn& reply);
   void fail_op(const Pending& p);
 
   std::vector<std::string> tcp_targets_;
@@ -82,6 +96,12 @@ class SyscallServer : public Server {
   ShardCursors open_rr_;        // round-robin cursors for new sockets
   chan::Pool* pool_ = nullptr;  // staging for packed kSockBatch arrays
   chan::RequestDb<Pending> pending_;
+  // Flushes posted but not taken yet, from inbox_head_ on: each kernel
+  // message takes the next one, so a crash can fail the rest.  Emptied
+  // when drained, the vector keeps its capacity: a flush allocates nothing
+  // here.
+  std::vector<Submission> inbox_;
+  std::size_t inbox_head_ = 0;
   std::uint64_t calls_ = 0;
   std::uint64_t batches_ = 0;
 };

@@ -54,8 +54,8 @@ class TcpServer : public TransportServer {
 
   net::TcpEngine* engine() { return engine_.get(); }
 
-  // Checkpoint overhead counters (0 with checkpointing off), published as
-  // node stats "tcp.ckpt_puts" / "tcp.ckpt_bytes".
+  // Checkpoint overhead counters (0 with checkpointing off): journal puts
+  // to the storage server and the bytes they carried.
   std::uint64_t ckpt_puts() const { return writer_ ? writer_->puts() : 0; }
   std::uint64_t ckpt_bytes() const {
     return writer_ ? writer_->put_bytes() : 0;

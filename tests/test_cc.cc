@@ -388,8 +388,7 @@ TEST(CcCkpt, LearnedWindowSurvivesTcpServerCrash) {
       cwnd_before = std::max(cwnd_before, info->cwnd);
     }
   }
-  const std::uint32_t initial = TcpOptions{}.initial_cwnd_segs *
-                                std::uint32_t{TcpOptions{}.mss};
+  const std::uint32_t initial = kInitialCwndSegs * std::uint32_t{kMss};
   ASSERT_GT(cwnd_before, initial);
 
   faults.inject(servers::kTcpName, FaultType::Crash);

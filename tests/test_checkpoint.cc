@@ -28,6 +28,18 @@ TestbedOptions ckpt_opts() {
   return opts;
 }
 
+// A checkpoint counter summed over the node's TCP replicas.
+using TcpCounter = std::uint64_t (servers::TcpServer::*)() const;
+std::uint64_t sum_over_replicas(Node& node, TcpCounter counter) {
+  std::uint64_t total = 0;
+  for (int s = 0; s < node.tcp_shard_count(); ++s) {
+    const auto* tcp =
+        dynamic_cast<servers::TcpServer*>(node.transport_server('T', s));
+    if (tcp != nullptr) total += (tcp->*counter)();
+  }
+  return total;
+}
+
 // The recovery rig: ssh-like echo in, bulk TCP out, periodic DNS out.
 struct Rig {
   Testbed tb;
@@ -515,8 +527,8 @@ TEST(Checkpoint, StorageCrashThenTcpCrash) {
 // Past 1024 tracked connections the checkpoint directory no longer fits the
 // single storage value the first cut assumed: it must page into chained
 // directory keys (CheckpointWriter::kCkptDirPageSocks), count the spill in
-// tcp.ckpt_overflow, and a restore must walk the whole chain — every one of
-// 1500 connections comes back, none is reset.
+// TcpServer::ckpt_overflows, and a restore must walk the whole chain — every
+// one of 1500 connections comes back, none is reset.
 TEST(Checkpoint, DirectoryOverflowPagesAndRecoversAll) {
   Testbed tb(ckpt_opts());
   AppActor* sshd_app = tb.newtos().add_app("sshd");
@@ -530,9 +542,9 @@ TEST(Checkpoint, DirectoryOverflowPagesAndRecoversAll) {
   tb.run_until(4 * sim::kSecond);
   ASSERT_EQ(fleet.failures, 0);
   ASSERT_EQ(fleet.connected, 1500);
-  tb.newtos().publish_channel_stats();
-  EXPECT_GE(tb.newtos().stats().get("tcp.ckpt_overflow"), 1u)
-      << "1500 connections never spilled the directory";
+  const std::uint64_t overflows =
+      sum_over_replicas(tb.newtos(), &servers::TcpServer::ckpt_overflows);
+  EXPECT_GE(overflows, 1u) << "1500 connections never spilled the directory";
 
   faults.inject(servers::kTcpName, FaultType::Crash);
   tb.run_until(10 * sim::kSecond);
@@ -548,14 +560,14 @@ TEST(Checkpoint, DirectoryOverflowPagesAndRecoversAll) {
 
 // Checkpoint overhead is visible, bounded, and attributed: journal puts
 // happen on transitions and watermarks — not per segment.
-TEST(Checkpoint, OverheadSurfacesAsNodeStats) {
+TEST(Checkpoint, OverheadSurfacesInReplicaCounters) {
   Rig rig(ckpt_opts());
   rig.tb.run_until(3 * sim::kSecond);
-  rig.tb.newtos().publish_channel_stats();
-  auto& stats = rig.tb.newtos().stats();
-  const std::uint64_t puts = stats.get("tcp.ckpt_puts");
+  Node& node = rig.tb.newtos();
+  const std::uint64_t puts =
+      sum_over_replicas(node, &servers::TcpServer::ckpt_puts);
   EXPECT_GT(puts, 0u);
-  EXPECT_GT(stats.get("tcp.ckpt_bytes"), 0u);
+  EXPECT_GT(sum_over_replicas(node, &servers::TcpServer::ckpt_bytes), 0u);
   // Far fewer journal puts than segments processed: the scalars ride the
   // pool-resident page, not IPC.
   const auto& es = rig.tb.newtos().tcp_engine()->stats();

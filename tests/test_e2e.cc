@@ -1,6 +1,7 @@
 // End-to-end integration tests: full stack, both directions, every mode.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -151,4 +152,56 @@ TEST(EndToEnd, EchoAndDns) {
   EXPECT_GT(dns_cli.sent(), 15u);
   // UDP may lose the odd datagram; essentially all queries are answered.
   EXPECT_GE(dns_cli.answered() + 2, dns_cli.sent());
+}
+
+// publish_channel_stats() publishes the channel counters and nothing else:
+// one "chan.<from>><to>.send_failures" per queue that rejected a send, and
+// their total as "chan.send_failures" and as its return value.  A hung TCP
+// server under four inbound bulk flows makes IP's queue to it overflow.
+TEST(EndToEnd, ChannelStatsCountEveryRejectedSend) {
+  TestbedOptions opts;
+  opts.mode = StackMode::kSplitSyscall;
+  Testbed tb(opts);
+  std::vector<std::unique_ptr<apps::BulkReceiver>> receivers;
+  std::vector<std::unique_ptr<apps::BulkSender>> senders;
+  for (std::uint16_t port = 5001; port <= 5004; ++port) {
+    const std::string flow = std::to_string(port);
+    apps::BulkReceiver::Config rc;
+    rc.port = port;
+    rc.record_series = false;
+    receivers.push_back(std::make_unique<apps::BulkReceiver>(
+        tb.newtos(), tb.newtos().add_app("rx" + flow), rc));
+    receivers.back()->start();
+    apps::BulkSender::Config sc;
+    sc.dst = tb.peer().peer_addr(0);
+    sc.port = port;
+    senders.push_back(std::make_unique<apps::BulkSender>(
+        tb.peer(), tb.peer().add_app("tx" + flow), sc));
+    senders.back()->start();
+  }
+  tb.run_until(300 * sim::kMillisecond);
+  Node& node = tb.newtos();
+  node.server(servers::kTcpName)->hang();
+  tb.run_until(400 * sim::kMillisecond);
+
+  std::map<std::string, std::uint64_t> expected;
+  std::uint64_t sum = 0;
+  for (const auto& [name, queue] : node.queues()) {
+    sum += queue->send_failures();
+    if (queue->send_failures() > 0)
+      expected["chan." + name + ".send_failures"] = queue->send_failures();
+  }
+  ASSERT_EQ(expected.count("chan.ip>tcp.send_failures"), 1u);
+  expected["chan.send_failures"] = sum;
+
+  const std::map<std::string, std::uint64_t> before = node.stats().counters();
+  const std::uint64_t total = node.publish_channel_stats();
+  EXPECT_EQ(total, sum);
+  EXPECT_EQ(node.stats().get("chan.send_failures"), total);
+  std::map<std::string, std::uint64_t> published;
+  for (const auto& [name, value] : node.stats().counters()) {
+    const auto it = before.find(name);
+    if (it == before.end() || it->second != value) published[name] = value;
+  }
+  EXPECT_EQ(published, expected);
 }

@@ -450,3 +450,121 @@ TEST(SocketControl, OpsFailOnceWhenTheirTransportDies) {
     EXPECT_EQ(ring.completions(), ring.ops());
   }
 }
+
+// SYSCALL's crash holes: every op a flush carries completes exactly once,
+// with an error, whether SYSCALL dies before taking the flush, is down when
+// the flush arrives, or dies before the transport's reply reaches it.
+namespace {
+
+const StackMode kSyscallModes[] = {StackMode::kSplitSyscall,
+                                   StackMode::kSingleServer};
+
+// An app with one open TCP socket behind SYSCALL, recording completions.
+struct SyscallRig {
+  explicit SyscallRig(StackMode mode)
+      : tb(options(mode)), app(tb.newtos().add_app("app")) {
+    open();
+    tb.run_until(100 * sim::kMillisecond);
+  }
+
+  SocketRing& ring() { return app->ring(); }
+  servers::Server* syscall() { return tb.newtos().syscall(); }
+  void open() {
+    SockSqe op;
+    op.opcode = servers::kSockOpen;
+    op.proto = 'T';
+    ring().enqueue(op, [this](const SockCqe& c) { done.push_back(c); });
+  }
+  void connect() {
+    SockSqe op;
+    op.opcode = servers::kSockConnect;
+    op.proto = 'T';
+    op.sock = done.at(0).sock;
+    op.arg0 = tb.newtos().peer_addr(0).value;
+    op.arg1 = 7000;
+    ring().enqueue(op, [this](const SockCqe& c) { done.push_back(c); });
+  }
+  // The last op completed exactly once, with an error, and nothing else
+  // is left without its completion.
+  void expect_last_failed_once(std::size_t ops, std::uint16_t opcode) {
+    ASSERT_EQ(done.size(), ops);
+    EXPECT_EQ(done.back().opcode, opcode);
+    EXPECT_FALSE(done.back().ok);
+    EXPECT_EQ(ring().completions(), ring().ops());
+  }
+
+  Testbed tb;
+  AppActor* app;
+  std::vector<SockCqe> done;
+};
+
+}  // namespace
+
+TEST(SocketControl, FlushSyscallNeverTookFailsOnce) {
+  for (const StackMode mode : kSyscallModes) {
+    SCOPED_TRACE(to_string(mode));
+    SyscallRig rig(mode);
+    rig.syscall()->hang();
+    rig.connect();
+    rig.tb.run_until(110 * sim::kMillisecond);
+    EXPECT_EQ(rig.done.size(), 1u);
+    rig.syscall()->kill();
+    rig.tb.run_until(1 * sim::kSecond);
+    rig.expect_last_failed_once(2, servers::kSockConnect);
+  }
+}
+
+TEST(SocketControl, FlushWhileSyscallRestartsFailsOnce) {
+  for (const StackMode mode : kSyscallModes) {
+    SCOPED_TRACE(to_string(mode));
+    SyscallRig rig(mode);
+    rig.syscall()->kill();  // reincarnated after the restart delay
+    rig.connect();
+    rig.tb.run_until(1 * sim::kSecond);
+    rig.expect_last_failed_once(2, servers::kSockConnect);
+    // The reincarnated server takes the next flush.
+    EXPECT_TRUE(rig.syscall()->ready());
+    rig.open();
+    rig.tb.run_until(1100 * sim::kMillisecond);
+    ASSERT_EQ(rig.done.size(), 3u);
+    EXPECT_TRUE(rig.done[2].ok);
+  }
+}
+
+TEST(SocketControl, ReplySyscallMissedFailsOnce) {
+  for (const StackMode mode : kSyscallModes) {
+    SCOPED_TRACE(to_string(mode));
+    SyscallRig rig(mode);
+    // Slowed down, SYSCALL forwards the connect and then stays busy, so
+    // the transport's reply still waits in its queue when it dies.
+    rig.syscall()->set_slowdown(1e5);
+    rig.connect();
+    rig.tb.run_until(101 * sim::kMillisecond);
+    EXPECT_EQ(rig.done.size(), 1u);
+    rig.syscall()->kill();
+    rig.tb.run_until(1 * sim::kSecond);
+    rig.expect_last_failed_once(2, servers::kSockConnect);
+  }
+}
+
+// A reply that reaches the next incarnation, for an op that already failed
+// when SYSCALL died, is ignored.
+TEST(SocketControl, LateReplyAfterSyscallRestartIsIgnored) {
+  for (const StackMode mode : kSyscallModes) {
+    SCOPED_TRACE(to_string(mode));
+    SyscallRig rig(mode);
+    // Slowed down, the transport answers a second open at once but stays
+    // busy long after, so the connect waits in its queue until SYSCALL has
+    // died and come back.
+    rig.tb.newtos().transport_server('T')->set_slowdown(1e5);
+    rig.open();
+    rig.tb.run_until(101 * sim::kMillisecond);
+    ASSERT_EQ(rig.done.size(), 2u);
+    rig.connect();
+    rig.tb.run_until(102 * sim::kMillisecond);
+    rig.syscall()->kill();
+    rig.tb.run_until(2 * sim::kSecond);
+    rig.expect_last_failed_once(3, servers::kSockConnect);
+  }
+}
+
