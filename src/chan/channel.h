@@ -67,11 +67,7 @@ class Queue {
   }
 
   // Consumer side.
-  bool try_recv(Message& out) {
-    if (!ring_.try_pop(out)) return false;
-    ++recvs_;
-    return true;
-  }
+  bool try_recv(Message& out) { return ring_.try_pop(out); }
 
   bool empty() const { return ring_.empty(); }
   std::size_t size() const { return ring_.size(); }
@@ -86,7 +82,6 @@ class Queue {
   }
 
   std::uint64_t sends() const { return sends_; }
-  std::uint64_t recvs() const { return recvs_; }
   std::uint64_t send_failures() const { return send_failures_; }
 
  private:
@@ -94,7 +89,6 @@ class Queue {
   SpscRing<Message> ring_;
   Doorbell bell_;
   std::uint64_t sends_ = 0;
-  std::uint64_t recvs_ = 0;
   std::uint64_t send_failures_ = 0;
 };
 

@@ -15,7 +15,6 @@ bool SocketRing::enqueue(SockSqe op, CompletionFn cb) {
   if (!sq_.try_push(op)) {
     // Full SQ: never block (Section IV-A).  The op fails with an error
     // completion and the application's retry policy takes over.
-    ++sq_overflows_;
     cbs_[op.req_id] = PendingCb{op.opcode, std::move(cb)};
     fail(op);
     return false;
@@ -216,7 +215,6 @@ void SocketRing::push_cqe(const SockCqe& cqe) {
 }
 
 void SocketRing::drain_cq() {
-  ++cq_drains_;
   SockCqe c;
   while (cq_.try_pop(c)) {
     auto it = cbs_.find(c.cookie);

@@ -100,8 +100,6 @@ class SocketRing {
   std::uint64_t ops() const { return ops_; }
   std::uint64_t doorbells() const { return doorbells_; }
   std::uint64_t completions() const { return completions_; }
-  std::uint64_t cq_drains() const { return cq_drains_; }
-  std::uint64_t sq_overflows() const { return sq_overflows_; }
   std::size_t pending() const { return sq_.size(); }
   // SQ slots still free this flush window (forward() budgets against it so
   // a spliced chain never overflows into error completions).
@@ -146,8 +144,6 @@ class SocketRing {
   std::uint64_t ops_ = 0;
   std::uint64_t doorbells_ = 0;
   std::uint64_t completions_ = 0;
-  std::uint64_t cq_drains_ = 0;
-  std::uint64_t sq_overflows_ = 0;
 };
 
 }  // namespace newtos

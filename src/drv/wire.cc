@@ -39,7 +39,6 @@ sim::Time Wire::transmit(int end, std::vector<std::byte>&& frame) {
   const sim::Time start = std::max(now, tx_free_at_[end]);
   tx_free_at_[end] = start + ser;
   busy_ns_[end] += ser;
-  bytes_carried_ += frame.size();
 
   // Bounded bottleneck FIFO: a full queue tail-drops the arrival — the
   // router discards it after the access link already carried it, so drops
@@ -65,9 +64,6 @@ sim::Time Wire::transmit(int end, std::vector<std::byte>&& frame) {
   departures_[end].push_back(depart);
   max_queue_depth_ = std::max<std::uint64_t>(max_queue_depth_,
                                              departures_[end].size());
-  const std::uint64_t sojourn = static_cast<std::uint64_t>(depart - now);
-  sojourn_ns_total_ += sojourn;
-  sojourn_ns_max_ = std::max(sojourn_ns_max_, sojourn);
 
   const int other = 1 - end;
   // Loss draw: uniform across every frame (the RNG sequence existing

@@ -56,15 +56,12 @@ class Wire {
 
   std::uint64_t frames_delivered() const { return frames_delivered_; }
   std::uint64_t frames_lost() const { return frames_lost_; }
-  std::uint64_t bytes_carried() const { return bytes_carried_; }
   double utilization(int end, sim::Time window) const;
 
   // --- WAN queue observability ---
   std::uint64_t queue_drops() const { return queue_drops_; }
   std::uint64_t reordered() const { return reordered_; }
   std::uint64_t max_queue_depth() const { return max_queue_depth_; }
-  std::uint64_t sojourn_ns_total() const { return sojourn_ns_total_; }
-  std::uint64_t sojourn_ns_max() const { return sojourn_ns_max_; }
   std::size_t queue_depth_now(int end) const;
   // Time-weighted mean number of pending frames on `end`, over [0, now].
   double avg_queue_depth(int end) const;
@@ -86,7 +83,6 @@ class Wire {
   sim::Time busy_ns_[2] = {0, 0};
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t frames_lost_ = 0;
-  std::uint64_t bytes_carried_ = 0;
 
   // Pending departure times (ascending) per end: the emulated FIFO.
   std::deque<sim::Time> departures_[2];
@@ -95,8 +91,6 @@ class Wire {
   std::uint64_t queue_drops_ = 0;
   std::uint64_t reordered_ = 0;
   std::uint64_t max_queue_depth_ = 0;
-  std::uint64_t sojourn_ns_total_ = 0;
-  std::uint64_t sojourn_ns_max_ = 0;
 };
 
 }  // namespace newtos::drv

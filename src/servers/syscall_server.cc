@@ -1,6 +1,7 @@
 #include "src/servers/syscall_server.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace newtos::servers {
 
@@ -47,8 +48,8 @@ void SyscallServer::start(bool restart) {
     connect_out(t);
   }
   // Stateless: restart is trivial (Section V-B).  In-flight calls got
-  // errors when we died (on_killed); old replies are ignored because their
-  // ids died with pending_.
+  // errors when we died (on_killed); their late replies only free the
+  // batch chunks.
   announce(restart);
 }
 
@@ -79,12 +80,13 @@ void SyscallServer::submit_batch(std::vector<WireSockOp> ops,
 
 void SyscallServer::on_killed() {
   // These ops reached a transport, which may have run them and so own
-  // their payloads (see ~SyscallServer): only the chunk references go.
-  pending_.abort_if([](const Pending&) { return true; },
-                    [this](std::uint64_t, Pending&& p) {
-                      (*p.reply)(error_reply(p.op));
-                      release_chunk(p);
-                    });
+  // their payloads (see ~SyscallServer), or may not have read their batch
+  // yet: each fails now but keeps its chunk reference, so the chunk cannot
+  // carry a later batch while the old message still names it.
+  pending_.for_each([](std::uint64_t, Pending& p) {
+    const SockReplyFn* reply = std::exchange(p.reply, nullptr);
+    if (reply != nullptr) (*reply)(error_reply(p.op));
+  });
   for (; inbox_head_ < inbox_.size(); ++inbox_head_) {
     const Submission& s = inbox_[inbox_head_];
     for (const WireSockOp& op : s.ops) refuse(op, *s.reply);
@@ -105,7 +107,7 @@ void SyscallServer::refuse(const WireSockOp& op, const SockReplyFn& reply) {
 }
 
 void SyscallServer::fail_op(const Pending& p) {
-  refuse(p.op, *p.reply);
+  if (p.reply != nullptr) refuse(p.op, *p.reply);
   release_chunk(p);
 }
 
@@ -183,11 +185,13 @@ void SyscallServer::on_message(const std::string& from,
   (void)ctx;
   if (m.opcode != kSockReply) return;
   const auto p = pending_.take(m.req_id);
-  if (!p) return;  // stale reply from before a crash
-  chan::Message r = m;
-  r.req_id = p->op.req_id;  // back to the submitter's id
-  (*p->reply)(r);
-  release_chunk(*p);
+  if (!p) return;
+  if (p->reply != nullptr) {  // null: it failed when we died
+    chan::Message r = m;
+    r.req_id = p->op.req_id;  // back to the submitter's id
+    (*p->reply)(r);
+  }
+  release_chunk(*p);  // the transport has read the batch
 }
 
 void SyscallServer::on_peer_up(const std::string& peer, bool restarted,
@@ -202,8 +206,10 @@ void SyscallServer::on_peer_up(const std::string& peer, bool restarted,
     if (targets_[p.target] != peer) return;
     // An op still naming the in-batch open sentinel cannot be resubmitted
     // standalone — its open's identity died with the batch; fail it so the
-    // app reopens.
+    // app reopens.  One that failed when we died only drops its chunk
+    // reference: its batch went with the peer's queues.
     const bool resubmit =
+        p.reply != nullptr &&
         (p.op.proto == 'U' || p.op.opcode == kSockListen) &&
         p.op.sock != kSockFromBatchOpen;
     if (resubmit) {

@@ -32,8 +32,8 @@ class SyscallServer : public Server {
   SyscallServer(NodeEnv* env, sim::SimCore* core,
                 std::vector<std::string> tcp_targets = {kTcpName},
                 std::vector<std::string> udp_targets = {kUdpName});
-  // Teardown: drops the staging-chunk references (and staged payloads) of
-  // ops that never got a reply.
+  // Teardown: drops the staging-chunk references of ops that never got a
+  // reply.
   ~SyscallServer() override;
 
   // Entry point for application system calls: a whole submission-queue
@@ -56,13 +56,16 @@ class SyscallServer : public Server {
   void on_peer_up(const std::string& peer, bool restarted,
                   sim::Context& ctx) override;
   // Fails every op a crash leaves without a reply: the flushes not taken
-  // yet and the ops still waiting for a transport.
+  // yet and the ops still waiting for a transport.  The latter stay in
+  // pending_, failed, until the transport's reply or its restart shows
+  // that their batch is no longer unread.
   void on_killed() override;
 
  private:
   struct Pending {
     std::size_t target = 0;  // the transport shard it went to (targets_)
     WireSockOp op;           // as submitted: req_id is the submitter's
+    // Null once the op failed because this server died.
     const SockReplyFn* reply = nullptr;
     // The packed batch chunk this op rode in on; each op holds one
     // reference, dropped when the op's reply (or abort) settles it.

@@ -548,7 +548,9 @@ TEST(SocketControl, ReplySyscallMissedFailsOnce) {
 }
 
 // A reply that reaches the next incarnation, for an op that already failed
-// when SYSCALL died, is ignored.
+// when SYSCALL died, is ignored.  The failed op's batch still waits in the
+// transport's queue, so its staging chunk must stay held: a flush the next
+// incarnation packs meanwhile must not land in it and run twice.
 TEST(SocketControl, LateReplyAfterSyscallRestartIsIgnored) {
   for (const StackMode mode : kSyscallModes) {
     SCOPED_TRACE(to_string(mode));
@@ -556,15 +558,33 @@ TEST(SocketControl, LateReplyAfterSyscallRestartIsIgnored) {
     // Slowed down, the transport answers a second open at once but stays
     // busy long after, so the connect waits in its queue until SYSCALL has
     // died and come back.
-    rig.tb.newtos().transport_server('T')->set_slowdown(1e5);
+    servers::Server* transport = rig.tb.newtos().transport_server('T');
+    transport->set_slowdown(1e5);
     rig.open();
     rig.tb.run_until(101 * sim::kMillisecond);
     ASSERT_EQ(rig.done.size(), 2u);
     rig.connect();
     rig.tb.run_until(102 * sim::kMillisecond);
     rig.syscall()->kill();
-    rig.tb.run_until(2 * sim::kSecond);
+    rig.tb.run_until(110 * sim::kMillisecond);
     rig.expect_last_failed_once(3, servers::kSockConnect);
+    // The next incarnation forwards an open of the connect's batch size
+    // while the connect's batch is still unread.
+    ASSERT_TRUE(rig.syscall()->ready());
+    rig.open();
+    rig.tb.run_until(111 * sim::kMillisecond);
+    EXPECT_EQ(rig.done.size(), 3u);
+    transport->set_slowdown(1.0);
+    rig.tb.run_until(2 * sim::kSecond);
+    ASSERT_EQ(rig.done.size(), 4u);
+    EXPECT_TRUE(rig.done[3].ok);
+    // The open ran once: the transport's next socket id follows it.
+    rig.open();
+    rig.tb.run_until(2100 * sim::kMillisecond);
+    ASSERT_EQ(rig.done.size(), 5u);
+    EXPECT_TRUE(rig.done[4].ok);
+    EXPECT_EQ(rig.done[4].sock, rig.done[3].sock + 1);
+    EXPECT_EQ(rig.ring().completions(), rig.ring().ops());
   }
 }
 
